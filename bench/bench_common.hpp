@@ -23,11 +23,12 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "algorithms/runner.hpp"
 #include "algorithms/scc.hpp"
-#include "runtime/chunk.hpp"
 #include "graph/csr.hpp"
 #include "graph/distributed.hpp"
 #include "graph/generators.hpp"
@@ -44,12 +45,8 @@ using pregel::graph::Graph;
 /// the simulated network (see runtime/exchange.hpp); tests leave it off.
 /// Override with PGCH_SIM_NET_MBPS=<mbps> (0 disables).
 inline const bool kNetDefaulted = [] {
-#ifdef _WIN32
-  return false;
-#else
   setenv("PGCH_SIM_NET_MBPS", "90", /*overwrite=*/0);
   return true;
-#endif
 }();
 
 inline int num_workers() {
@@ -340,7 +337,7 @@ inline DistributedGraph degree_dg(const CsrGraph& g) {
 /// multi-process benches use so every rank of a `pgch_launch --partition`
 /// team builds the identical partition.
 inline DistributedGraph env_partition_dg(const CsrGraph& g) {
-  const auto kind = pregel::graph::partition_kind_from_env(
+  const auto kind = pregel::runtime::RunConfig::from_env().partition.value_or(
       pregel::graph::PartitionKind::kHash);
   return warmed(DistributedGraph(
       shared(g), pregel::graph::make_partition(g, num_workers(), kind)));
@@ -377,8 +374,14 @@ inline DistributedGraph voronoi_dg(CsrGraph&& g) {
 //    "msg_bytes": ..., "supersteps": ..., "comm_rounds": ...,
 //    "serialize_s": ..., "exchange_s": ..., "deliver_s": ...,
 //    "overlap_s": ..., "pipelined_rounds": ..., "chunks_sent": ...,
-//    "chunks_received": ..., "rank_imbalance": ..., "slot_imbalance": ...,
-//    "threads": ..., "comm_threads": ..., "transport": ...}
+//    "chunks_received": ..., "pull_supersteps": ..., "rank_imbalance": ...,
+//    "slot_imbalance": ..., "threads": ..., "comm_threads": ...,
+//    "direction": ..., "pipeline": ..., "partition": ..., "steal": ...,
+//    "parallel_delivery": ..., "mmap": ..., "sim_net_mbps": ...,
+//    "workers": ..., "transport": ...}
+// The RunStats keys come from its field table (kRunStatsFields); the
+// config keys are the resolved RunConfig the row ran under ("" for an
+// unset partition or an automatic mmap choice).
 // In pipelined runs (PGCH_PIPELINE=1) exchange_s is the wire-active span,
 // so serialize_s + exchange_s + deliver_s can exceed comm_s by up to
 // overlap_s — the time the stream hid behind the wire.
@@ -418,14 +421,13 @@ inline void record_json(const std::string& raw_name,
                         const pregel::runtime::RunStats& stats) {
   const std::string& path = json_sink_path();
   if (path.empty()) return;
+  const pregel::runtime::RunConfig run = pregel::runtime::RunConfig::from_env();
   // Multi-process runs inherit PGCH_BENCH_JSON on every rank; only rank 0
   // records, so a 2-rank run appends one row, not two near-duplicates.
-  if (pregel::core::LaunchConfig::from_env().rank > 0) return;
+  if (run.rank > 0) return;
   // PGCH_PIPELINE=1 rows get their own name: the (bench, name) diff key
   // must not collide with the bulk row of the same benchmark.
-  const std::string name =
-      pregel::runtime::pipeline_from_env() ? raw_name + "_Pipelined"
-                                           : raw_name;
+  const std::string name = run.pipeline ? raw_name + "_Pipelined" : raw_name;
   std::string bench = name, dataset;
   if (const auto cut = name.find('_'); cut != std::string::npos) {
     bench = name.substr(0, cut);
@@ -434,30 +436,37 @@ inline void record_json(const std::string& raw_name,
       dataset = dataset.substr(0, cut2);
     }
   }
-  const bool tcp = pregel::core::LaunchConfig::from_env().transport ==
-                   pregel::runtime::TransportKind::kTcp;
+  const std::map<std::string, std::string> knobs = run.to_vars();
   std::ostringstream os;
-  os << "{\"bench\": \"" << bench << "\", \"dataset\": \"" << dataset
-     << "\", \"name\": \"" << name << "\", \"wall_s\": " << stats.seconds
-     << ", \"msg_bytes\": " << stats.message_bytes
-     << ", \"supersteps\": " << stats.supersteps
-     << ", \"pull_supersteps\": "
+  os << std::boolalpha << "{\"bench\": \"" << bench << "\", \"dataset\": \""
+     << dataset << "\", \"name\": \"" << name << "\"";
+  std::apply(
+      [&](const auto&... f) {
+        const auto member = [&](const auto& field) {
+          using T = std::remove_cvref_t<decltype(stats.*field.member)>;
+          if constexpr (std::is_arithmetic_v<T>) {
+            if (field.json != nullptr) {
+              os << ", \"" << field.json << "\": " << stats.*field.member;
+            }
+          }
+        };
+        (member(f), ...);
+      },
+      pregel::runtime::kRunStatsFields);
+  os << ", \"pull_supersteps\": "
      << std::count(stats.direction_per_superstep.begin(),
                    stats.direction_per_superstep.end(), std::uint8_t{1})
-     << ", \"comm_rounds\": " << stats.comm_rounds
-     << ", \"compute_s\": " << stats.compute_seconds
-     << ", \"comm_s\": " << stats.comm_seconds
-     << ", \"serialize_s\": " << stats.serialize_seconds
-     << ", \"exchange_s\": " << stats.exchange_seconds
-     << ", \"deliver_s\": " << stats.deliver_seconds
-     << ", \"overlap_s\": " << stats.overlap_seconds
-     << ", \"pipelined_rounds\": " << stats.pipelined_rounds
-     << ", \"chunks_sent\": " << stats.chunks_sent
-     << ", \"chunks_received\": " << stats.chunks_received
      << ", \"rank_imbalance\": " << stats.rank_imbalance()
      << ", \"slot_imbalance\": " << stats.slot_imbalance()
-     << ", \"threads\": " << pregel::runtime::compute_threads_from_env()
-     << ", \"comm_threads\": " << pregel::runtime::comm_threads_from_env()
+     << ", \"threads\": " << run.compute_threads
+     << ", \"comm_threads\": " << run.comm_threads
+     << ", \"direction\": \"" << knobs.at("PGCH_DIRECTION") << "\""
+     << ", \"pipeline\": " << run.pipeline
+     << ", \"partition\": \"" << knobs.at("PGCH_PARTITION") << "\""
+     << ", \"steal\": " << run.steal
+     << ", \"parallel_delivery\": " << run.parallel_delivery
+     << ", \"mmap\": \"" << knobs.at("PGCH_MMAP") << "\""
+     << ", \"sim_net_mbps\": " << run.sim_net_mbps
      << ", \"workers\": " << num_workers();
   // How the dataset got into memory (make_dataset, or a load bench's own
   // re-timing): seconds + array bytes ride every row of that dataset.
@@ -466,7 +475,7 @@ inline void record_json(const std::string& raw_name,
     os << ", \"load_s\": " << ls->second.load_s
        << ", \"graph_bytes\": " << ls->second.graph_bytes;
   }
-  os << ", \"transport\": \"" << (tcp ? "tcp" : "inprocess") << "\"}";
+  os << ", \"transport\": \"" << knobs.at("PGCH_TRANSPORT") << "\"}";
   std::ofstream out(path, std::ios::app);
   out << os.str() << "\n";
 }

@@ -65,12 +65,13 @@ runtime::RunStats run_collect(
   const auto collect = [&](const WorkerT& w, int /*rank*/) {
     w.for_each_vertex([&](const auto& v) { out[v.id()] = extract(v); });
   };
-  const core::LaunchConfig config = core::LaunchConfig::from_env();
+  const runtime::RunConfig run = runtime::RunConfig::from_env();
+  const core::LaunchConfig config = core::LaunchConfig::from(run);
   if (config.transport == runtime::TransportKind::kTcp) {
     if constexpr (runtime::TriviallySerializable<OutT>) {
-      const auto transport = core::connect_tcp(config, dg.num_workers());
+      const auto transport = core::connect_tcp(config, dg.num_workers(), run);
       const runtime::RunStats stats = core::launch_distributed<WorkerT>(
-          dg, *transport, config.rank, configure, collect);
+          dg, *transport, config.rank, configure, collect, run);
       allgather_results(*transport, config.rank, dg, out);
       return stats;
     } else {
@@ -82,7 +83,7 @@ runtime::RunStats run_collect(
           "through core::launch() and merge rank outputs yourself");
     }
   }
-  return core::launch<WorkerT>(dg, config, configure, collect);
+  return core::launch<WorkerT>(dg, config, configure, collect, run);
 }
 
 /// Launch WorkerT and discard per-vertex results (benchmark runs).

@@ -53,6 +53,9 @@ struct Env {
   runtime::Exchange* exchange = nullptr;
   runtime::Transport* transport = nullptr;
   int rank = 0;
+  /// The run's parsed PGCH_* knobs; owned by the launch call, which
+  /// outlives every engine it constructs.
+  const runtime::RunConfig* config = nullptr;
 };
 
 inline thread_local Env* t_env = nullptr;

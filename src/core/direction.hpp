@@ -11,18 +11,17 @@
 // pushes it into each pull-capable channel via Channel::set_direction().
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
+
+#include "runtime/run_config.hpp"
 
 namespace pregel::core {
 
 /// The direction one superstep's value movement takes on one channel.
 enum class Direction : std::uint8_t { kPush = 0, kPull = 1 };
 
-/// How the engine picks the direction each superstep: forced push, forced
-/// pull, or the frontier-density heuristic below.
-enum class DirectionMode : std::uint8_t { kPush = 0, kPull = 1, kAdaptive = 2 };
+/// How the engine picks the direction each superstep (PGCH_DIRECTION):
+/// forced push, forced pull, or the frontier-density heuristic below.
+using DirectionMode = runtime::DirectionMode;
 
 /// Density heuristic thresholds, expressed as denominators over the global
 /// vertex count and chosen to match the ActiveSet dense/sparse compute
@@ -49,21 +48,6 @@ inline Direction adaptive_direction(Direction previous,
   return global_active * kPullEnterDenominator >= num_vertices
              ? Direction::kPull
              : Direction::kPush;
-}
-
-/// Direction mode requested via the PGCH_DIRECTION environment variable:
-/// "push" (the default — the seed engine's behaviour), "pull" (force the
-/// gather path every superstep), or "adaptive" (the density heuristic).
-/// Read per call so tests and launch-time configuration can override it,
-/// like the PGCH_*_THREADS knobs in runtime/compute_pool.hpp.
-inline DirectionMode direction_mode_from_env() {
-  const char* env = std::getenv("PGCH_DIRECTION");
-  if (env == nullptr || *env == '\0') return DirectionMode::kPush;
-  if (std::strcmp(env, "push") == 0) return DirectionMode::kPush;
-  if (std::strcmp(env, "pull") == 0) return DirectionMode::kPull;
-  if (std::strcmp(env, "adaptive") == 0) return DirectionMode::kAdaptive;
-  throw std::invalid_argument(
-      "PGCH_DIRECTION must be push, pull or adaptive");
 }
 
 }  // namespace pregel::core

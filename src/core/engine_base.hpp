@@ -66,6 +66,11 @@ class EngineBase {
     return stats_;
   }
 
+  /// The PGCH_* configuration of the launch that constructed this engine.
+  [[nodiscard]] const runtime::RunConfig& run_config() const noexcept {
+    return *env_.config;
+  }
+
   // ---- parallel communication phase (DESIGN.md section 8) ---------------
 
   /// Intra-rank parallelism of the communication phase: > 1 makes the
@@ -99,10 +104,6 @@ class EngineBase {
   /// run().
   void set_pipeline(bool on) { pipeline_enabled_ = on; }
   [[nodiscard]] bool pipeline() const noexcept { return pipeline_enabled_; }
-
-  /// Streaming chunk size of pipelined rounds (defaults to
-  /// PGCH_CHUNK_BYTES). Must be identical on every rank.
-  void set_chunk_bytes(std::size_t n) { env_.exchange->set_chunk_bytes(n); }
 
   // ---- direction-optimizing compute (DESIGN.md section 9) ----------------
 
@@ -163,8 +164,8 @@ class EngineBase {
 
   // ---- fault tolerance (DESIGN.md section 12) ----------------------------
 
-  /// Override the env-derived checkpoint configuration
-  /// (PGCH_CHECKPOINT_EVERY / PGCH_CHECKPOINT_DIR / PGCH_RESUME). Must be
+  /// Override the checkpoint configuration (default: PGCH_CHECKPOINT_EVERY
+  /// / PGCH_CHECKPOINT_DIR / PGCH_RESUME). Must be
   /// identical on every rank (the commit barrier and the restore epoch
   /// agreement are collective) and set before run().
   void set_checkpoint(runtime::CheckpointConfig cfg) {
@@ -174,10 +175,6 @@ class EngineBase {
       const noexcept {
     return ckpt_;
   }
-
-  /// Override the env-derived fault injection spec (PGCH_FAULT). Tests
-  /// only; set before run().
-  void set_fault(FaultSpec spec) { fault_ = spec; }
 
   /// Drive the superstep loop to global quiescence. Collective: every rank
   /// of the team calls run() on its own engine instance.
@@ -222,14 +219,12 @@ class EngineBase {
  protected:
   /// Validates that construction happens inside launch() and captures the
   /// rank's Env. `engine_name` personalizes the error message.
-  explicit EngineBase(const char* engine_name) {
-    if (detail::t_env == nullptr) {
-      throw std::logic_error(
-          std::string(engine_name) +
-          " must be constructed inside pregel::core::launch()");
-    }
-    env_ = *detail::t_env;
-  }
+  explicit EngineBase(const char* engine_name)
+      : env_(detail::t_env != nullptr
+                 ? *detail::t_env
+                 : throw std::logic_error(
+                       std::string(engine_name) +
+                       " must be constructed inside pregel::core::launch()")) {}
 
   /// Per-rank loading before the first superstep (vertex slice, channel
   /// initialization, block grouping, ...). Runs before the team-wide
@@ -395,17 +390,19 @@ class EngineBase {
   /// Compute-phase CPU seconds this rank burned (engines that meter their
   /// compute phases accumulate here; feeds rank_compute_seconds).
   double compute_cpu_seconds_ = 0.0;
-  int comm_threads_ = runtime::comm_threads_from_env();
-  bool parallel_delivery_enabled_ = runtime::parallel_delivery_from_env();
-  bool pipeline_enabled_ = runtime::pipeline_from_env();
-  DirectionMode direction_mode_ = direction_mode_from_env();
+  int comm_threads_ = env_.config->comm_threads;
+  bool parallel_delivery_enabled_ = env_.config->parallel_delivery;
+  bool pipeline_enabled_ = env_.config->pipeline;
+  DirectionMode direction_mode_ = env_.config->direction;
   std::unique_ptr<runtime::ComputePool> pool_;
 
-  /// Checkpoint knobs (re-read from env on every engine construction, so
-  /// a recovery retry inside one process sees the resume request
-  /// launch() set) and the deterministic fault to inject, if any.
-  runtime::CheckpointConfig ckpt_ = runtime::CheckpointConfig::from_env();
-  FaultSpec fault_ = FaultSpec::from_env();
+  /// Checkpoint knobs (a recovery retry inside one process constructs its
+  /// engine from a RunConfig with `resume` set) and the deterministic
+  /// fault to inject, if any.
+  runtime::CheckpointConfig ckpt_{
+      env_.config->checkpoint_every, env_.config->checkpoint_dir,
+      env_.config->resume.has_value(), env_.config->resume.value_or(-1)};
+  FaultSpec fault_ = env_.config->fault;
   /// Newest committed checkpoint epoch this run wrote or restored; the
   /// previous one is the retention fallback until the next commit.
   int last_committed_ = -1;

@@ -7,134 +7,27 @@
 // process is exactly one rank of a multi-process team; peers are separate
 // processes (same host or not) reached over persistent sockets.
 //
-// The environment form is what tools/pgch_launch sets for each process it
-// spawns, so any existing example or bench becomes distributed without a
-// code change:
-//
-//   PGCH_TRANSPORT  "tcp" (anything else / unset = in-process)
-//   PGCH_RANK       this process's rank, 0-based
-//   PGCH_WORLD      team size (must equal the partition's worker count)
-//   PGCH_PORT_BASE  rank r listens on port PGCH_PORT_BASE + r (default
-//                   29500)
-//   PGCH_HOSTS      optional comma-separated per-rank "host[:port]" list
-//                   for multi-host runs; missing entries default to
-//                   127.0.0.1:PGCH_PORT_BASE+r
-//   PGCH_PARTITION  optional partitioner selection ("range" | "degree" |
-//                   "hash") for the env-driven entry points that build
-//                   the distributed graph (benches, tools); must be
-//                   identical on every rank of a team
-//   PGCH_MMAP       optional snapshot-loader selection: "1" forces the
-//                   zero-copy mmap path for v3 snapshots, "0" forces the
-//                   heap loader, unset picks mmap automatically for v3
-//                   (graph::load_any consumes it; advisory here, like
-//                   PGCH_PARTITION)
+// The environment form — PGCH_TRANSPORT, PGCH_RANK, PGCH_WORLD,
+// PGCH_PORT_BASE and PGCH_HOSTS (docs/transport.md) — is what
+// tools/pgch_launch sets for each process it spawns, so any existing
+// example or bench becomes distributed without a code change.
+// runtime::RunConfig parses them with every other PGCH_* knob;
+// LaunchConfig is the team-layout projection of that parse (the connect
+// deadline and the recovery attempts stay in the RunConfig).
 
-#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "runtime/run_config.hpp"
 #include "runtime/tcp_transport.hpp"
-#include "runtime/transport.hpp"
 
 namespace pregel::core {
 
-/// Deterministic fault injection (DESIGN.md section 12): the harness that
-/// makes every failure mode of the fault-tolerance stack reproducible in
-/// ctest. Parsed from
-///
-///   PGCH_FAULT=rank=<r>,superstep=<s>,kind=exit|hang|corrupt
-///
-/// and triggered by EngineBase at the START of superstep <s> on rank <r>
-/// only — before that superstep's compute, after the previous superstep's
-/// checkpoint, so the last committed epoch is exactly what the superstep
-/// numbering implies.
-///
-///   exit     _Exit(kExitCode) without unwinding — a hard crash. Peers see
-///            the socket close and surface a TransportError.
-///   hang     stop making progress (interruptible sleep) without dying —
-///            a wedged rank. Peers' PGCH_IO_TIMEOUT_MS silence deadline
-///            surfaces the TransportError; the supervisor's teardown
-///            SIGTERM reaps the sleeper.
-///   corrupt  flip a byte in this rank's newest checkpoint file, then
-///            _Exit — recovery must reject the damaged epoch and fall
-///            back to the previous committed one.
-struct FaultSpec {
-  enum class Kind { kNone, kExit, kHang, kCorrupt };
-
-  /// Exit status of an injected exit/corrupt fault — recognizably ours,
-  /// so pgch_launch tests can assert the propagated code.
-  static constexpr int kExitCode = 43;
-
-  int rank = -1;
-  int superstep = -1;
-  Kind kind = Kind::kNone;
-
-  [[nodiscard]] bool enabled() const noexcept { return kind != Kind::kNone; }
-  [[nodiscard]] bool matches(int r, int step) const noexcept {
-    return enabled() && r == rank && step == superstep;
-  }
-
-  /// PGCH_FAULT; unset or empty = no fault. Malformed values throw — a
-  /// fault spec that silently parses to "no fault" would make a failure
-  /// test vacuously pass.
-  static FaultSpec from_env() {
-    const char* text = std::getenv("PGCH_FAULT");
-    if (text == nullptr || text[0] == '\0') return {};
-    return parse(text);
-  }
-
-  static FaultSpec parse(const std::string& text) {
-    FaultSpec spec;
-    std::string key, value;
-    bool in_value = false;
-    const auto apply = [&spec](const std::string& k, const std::string& v) {
-      if (k == "rank") {
-        spec.rank = std::atoi(v.c_str());
-      } else if (k == "superstep") {
-        spec.superstep = std::atoi(v.c_str());
-      } else if (k == "kind") {
-        if (v == "exit") {
-          spec.kind = Kind::kExit;
-        } else if (v == "hang") {
-          spec.kind = Kind::kHang;
-        } else if (v == "corrupt") {
-          spec.kind = Kind::kCorrupt;
-        } else {
-          throw std::invalid_argument(
-              "PGCH_FAULT: kind must be exit|hang|corrupt, got '" + v + "'");
-        }
-      } else {
-        throw std::invalid_argument("PGCH_FAULT: unknown key '" + k + "'");
-      }
-    };
-    for (const char* c = text.c_str();; ++c) {
-      if (*c == ',' || *c == '\0') {
-        if (!in_value || key.empty()) {
-          throw std::invalid_argument(
-              "PGCH_FAULT: expected rank=<r>,superstep=<s>,kind=<k>, got '" +
-              text + "'");
-        }
-        apply(key, value);
-        key.clear();
-        value.clear();
-        in_value = false;
-        if (*c == '\0') break;
-      } else if (*c == '=' && !in_value) {
-        in_value = true;
-      } else {
-        (in_value ? value : key) += *c;
-      }
-    }
-    if (spec.kind == Kind::kNone || spec.rank < 0 || spec.superstep < 1) {
-      throw std::invalid_argument(
-          "PGCH_FAULT: needs rank>=0, superstep>=1 and a kind, got '" + text +
-          "'");
-    }
-    return spec;
-  }
-};
+/// PGCH_FAULT's deterministic fault injection (runtime/run_config.hpp).
+using FaultSpec = runtime::FaultSpec;
 
 struct LaunchConfig {
   runtime::TransportKind transport = runtime::TransportKind::kInProcess;
@@ -143,78 +36,20 @@ struct LaunchConfig {
   int port_base = 29500;
   /// Per-rank "host[:port]" endpoints; empty or short = loopback defaults.
   std::vector<std::string> hosts;
-  double connect_timeout_s = 30.0;
-  /// How many times launch() rejoins the team after a TransportError
-  /// (PGCH_RECOVERY_ATTEMPTS, default 0 = fail fast). Each retry tears
-  /// the transport down, re-runs the mesh handshake, and restores the
-  /// last committed checkpoint epoch the surviving team agrees on.
-  int recovery_attempts = 0;
-  /// Partitioner name ("range" | "degree" | "hash"; empty = the caller's
-  /// default). launch() consumes an already-partitioned DistributedGraph,
-  /// so this field is advisory: env-driven entry points pass it (via
-  /// graph::parse_partition_kind / make_partition) when building the
-  /// graph, which keeps every rank of a TCP team on the same partition.
-  std::string partition;
-  /// Snapshot-loader selection: -1 auto (mmap v3 snapshots), 0 heap, 1
-  /// mmap. Advisory like `partition`: launch() consumes an already-loaded
-  /// graph, so entry points that load snapshots pass this (as a
-  /// graph::MmapMode) to graph::load_any.
-  int mmap = -1;
 
-  /// The PGCH_* environment form above; unset variables leave defaults.
+  /// The launch fields of a parsed RunConfig.
+  static LaunchConfig from(const runtime::RunConfig& run) {
+    std::vector<std::string> hosts;
+    std::istringstream list(run.hosts);
+    for (std::string entry; std::getline(list, entry, ',');) {
+      hosts.push_back(entry);
+    }
+    return {run.transport, run.rank, run.world, run.port_base, hosts};
+  }
+
+  /// The PGCH_* environment form above (one RunConfig parse).
   static LaunchConfig from_env() {
-    LaunchConfig cfg;
-    if (const char* t = std::getenv("PGCH_TRANSPORT")) {
-      const std::string kind(t);
-      if (kind == "tcp") {
-        cfg.transport = runtime::TransportKind::kTcp;
-      } else if (kind != "inprocess" && !kind.empty()) {
-        throw std::invalid_argument(
-            "PGCH_TRANSPORT must be 'tcp' or 'inprocess', got '" + kind +
-            "'");
-      }
-    }
-    if (const char* r = std::getenv("PGCH_RANK")) cfg.rank = std::atoi(r);
-    if (const char* w = std::getenv("PGCH_WORLD")) {
-      cfg.world_size = std::atoi(w);
-    }
-    if (const char* p = std::getenv("PGCH_PORT_BASE")) {
-      cfg.port_base = std::atoi(p);
-    }
-    if (const char* t = std::getenv("PGCH_CONNECT_TIMEOUT_MS")) {
-      const int ms = std::atoi(t);
-      if (ms > 0) cfg.connect_timeout_s = ms / 1000.0;
-    }
-    if (const char* a = std::getenv("PGCH_RECOVERY_ATTEMPTS")) {
-      cfg.recovery_attempts = std::max(0, std::atoi(a));
-    }
-    if (const char* part = std::getenv("PGCH_PARTITION")) {
-      cfg.partition = part;
-    }
-    if (const char* m = std::getenv("PGCH_MMAP")) {
-      const std::string mode(m);
-      if (mode == "1") {
-        cfg.mmap = 1;
-      } else if (mode == "0") {
-        cfg.mmap = 0;
-      } else if (!mode.empty()) {
-        throw std::invalid_argument("PGCH_MMAP must be '1' or '0', got '" +
-                                    mode + "'");
-      }
-    }
-    if (const char* h = std::getenv("PGCH_HOSTS")) {
-      std::string entry;
-      for (const char* c = h;; ++c) {
-        if (*c == ',' || *c == '\0') {
-          cfg.hosts.push_back(entry);
-          entry.clear();
-          if (*c == '\0') break;
-        } else {
-          entry += *c;
-        }
-      }
-    }
-    return cfg;
+    return from(runtime::RunConfig::from_env());
   }
 
   /// Rank `r`'s listen endpoint under this config: the hosts entry when

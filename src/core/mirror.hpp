@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -54,16 +53,6 @@
 #include "core/worker.hpp"
 
 namespace pregel::core {
-
-/// The PGCH_MIRROR_DEGREE environment default of
-/// MirrorScatter::set_mirror_degree (0 / unset = mirror every sender).
-inline std::uint32_t mirror_degree_from_env() {
-  if (const char* env = std::getenv("PGCH_MIRROR_DEGREE")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return 0;
-}
 
 template <typename VertexT, typename ValT>
   requires runtime::TriviallySerializable<ValT>
@@ -401,7 +390,8 @@ class MirrorScatter : public Channel {
   std::vector<std::vector<DirectSend>> direct_;
   std::atomic<bool> dirty_{false};
   bool finalized_ = false;
-  std::uint32_t mirror_degree_ = mirror_degree_from_env();
+  std::uint32_t mirror_degree_ =
+      static_cast<std::uint32_t>(worker_->run_config().mirror_degree);
 
   // Receiver side.
   std::vector<ValT> slot_;

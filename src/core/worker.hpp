@@ -151,8 +151,6 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   using Columns = VertexColumns<VertexT>;
   using ValueT = typename VertexT::value_type;
 
-  Worker() : compute_threads_(runtime::compute_threads_from_env()) {}
-
   /// The algorithm kernel, executed once per active vertex per superstep.
   virtual void compute(VertexT& v) = 0;
 
@@ -165,9 +163,9 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// aggregator results) so every rank transitions identically.
   virtual void begin_superstep() {}
 
-  /// Override the intra-rank compute parallelism (default: the
-  /// PGCH_COMPUTE_THREADS environment variable, else 1). Must be called
-  /// before run(); 1 restores the exact sequential compute path.
+  /// Override the intra-rank compute parallelism (default:
+  /// PGCH_COMPUTE_THREADS, else 1). Must be called before run(); 1
+  /// restores the exact sequential compute path.
   void set_compute_threads(int threads) {
     compute_threads_ = threads > 1 ? threads : 1;
   }
@@ -175,8 +173,8 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     return compute_threads_;
   }
 
-  /// Enable work stealing between compute slots (default: the PGCH_STEAL
-  /// environment variable, else off). Takes effect only with
+  /// Enable work stealing between compute slots (default: PGCH_STEAL,
+  /// else off). Takes effect only with
   /// compute_threads() > 1: the compute phase over-decomposes into
   /// kStealChunksPerSlot chunks per slot and idle slots steal chunks from
   /// busy ones. Results are bitwise-identical to the pinned schedule —
@@ -700,11 +698,11 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     return next_mask;
   }
 
-  int compute_threads_ = 1;
+  int compute_threads_ = env_.config->compute_threads;
 
   /// Work stealing between compute slots (PGCH_STEAL / set_steal()); only
   /// meaningful with compute_threads_ > 1.
-  bool steal_enabled_ = runtime::steal_from_env();
+  bool steal_enabled_ = env_.config->steal;
 
   /// This rank's payload bytes of the most recent communication round —
   /// the local input of the collective bulk/pipelined fallback decision.
@@ -729,13 +727,16 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 namespace detail {
 
 /// One rank's run: install the Env, construct the worker, run, collect.
+/// `config` is the run's PGCH_* configuration (default: parsed from the
+/// environment once for this call).
 template <typename WorkerT>
 runtime::RunStats run_rank(
     const graph::DistributedGraph& dg, runtime::Exchange& exchange,
     runtime::Transport& transport, int rank,
     const std::function<void(WorkerT&)>& configure,
-    const std::function<void(WorkerT&, int)>& collect) {
-  detail::Env env{&dg, &exchange, &transport, rank};
+    const std::function<void(WorkerT&, int)>& collect,
+    const runtime::RunConfig& config = runtime::RunConfig::from_env()) {
+  detail::Env env{&dg, &exchange, &transport, rank, &config};
   detail::t_env = &env;
   WorkerT worker;
   detail::t_env = nullptr;
@@ -757,7 +758,8 @@ template <typename WorkerT>
 runtime::RunStats launch_distributed(
     const graph::DistributedGraph& dg, runtime::Transport& transport,
     int rank, const std::function<void(WorkerT&)>& configure = nullptr,
-    const std::function<void(WorkerT&, int)>& collect = nullptr) {
+    const std::function<void(WorkerT&, int)>& collect = nullptr,
+    const runtime::RunConfig& config = runtime::RunConfig::from_env()) {
   if (transport.world_size() != dg.num_workers()) {
     throw std::invalid_argument(
         "launch_distributed: transport world size (" +
@@ -766,9 +768,10 @@ runtime::RunStats launch_distributed(
         ")");
   }
   const graph::DistributedGraph local = dg.localized(rank);
-  runtime::Exchange exchange(transport);
+  runtime::Exchange exchange(transport,
+                             static_cast<std::size_t>(config.chunk_bytes));
   runtime::RunStats stats = detail::run_rank<WorkerT>(
-      local, exchange, transport, rank, configure, collect);
+      local, exchange, transport, rank, configure, collect, config);
 
   // Fold the per-rank records into the team-global one at rank 0, then
   // hand the result back to everyone.
@@ -793,7 +796,8 @@ runtime::RunStats launch_distributed(
 /// endpoints, full-mesh handshake). Used by launch() and by callers that
 /// need the transport to outlive the run (e.g. result all-gathers).
 inline std::unique_ptr<runtime::TcpTransport> connect_tcp(
-    const LaunchConfig& config, int num_workers) {
+    const LaunchConfig& config, int num_workers,
+    const runtime::RunConfig& run = runtime::RunConfig::from_env()) {
   const int world = config.world_size > 0 ? config.world_size : num_workers;
   if (world != num_workers) {
     throw std::invalid_argument(
@@ -802,11 +806,11 @@ inline std::unique_ptr<runtime::TcpTransport> connect_tcp(
         ") — build the partition with the team size");
   }
   auto transport = std::make_unique<runtime::TcpTransport>(
-      config.rank, world, config.endpoint_of(config.rank));
+      config.rank, world, config.endpoint_of(config.rank), run);
   std::vector<runtime::TcpEndpoint> peers;
   peers.reserve(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) peers.push_back(config.endpoint_of(r));
-  transport->connect_mesh(peers, config.connect_timeout_s);
+  transport->connect_mesh(peers, run.connect_timeout_ms / 1000.0);
   return transport;
 }
 
@@ -817,7 +821,9 @@ inline std::unique_ptr<runtime::TcpTransport> connect_tcp(
 /// concurrently across ranks, so it must only write rank-disjoint
 /// locations (e.g. index a global array by vertex id). Returns the
 /// per-rank statistics folded with RunStats::merge_from (max wall time,
-/// summed per-rank counters, globally-agreed counts verbatim).
+/// summed per-rank counters, globally-agreed counts verbatim). `run`
+/// carries every other PGCH_* knob (default: parsed from the environment
+/// once for this call).
 ///
 /// kInProcess: spawns one thread per rank in this process (the original
 /// simulator substrate). kTcp: this process runs only config.rank; the
@@ -827,7 +833,8 @@ template <typename WorkerT>
 runtime::RunStats launch(
     const graph::DistributedGraph& dg, const LaunchConfig& config,
     const std::function<void(WorkerT&)>& configure = nullptr,
-    const std::function<void(WorkerT&, int)>& collect = nullptr) {
+    const std::function<void(WorkerT&, int)>& collect = nullptr,
+    const runtime::RunConfig& run = runtime::RunConfig::from_env()) {
   const int num_workers = dg.num_workers();
 
   if (config.transport == runtime::TransportKind::kTcp) {
@@ -836,37 +843,38 @@ runtime::RunStats launch(
     // attempts configured (PGCH_RECOVERY_ATTEMPTS — pgch_launch sets it
     // alongside --max-restarts), this rank tears the dead mesh down,
     // requests a checkpoint restore from the engine it is about to
-    // rebuild (PGCH_RESUME=auto — process-local, one process per rank
-    // under kTcp), re-runs the mesh handshake (waiting for the
-    // supervisor's respawned rank), and replays from the last committed
-    // epoch the surviving team agrees on.
+    // rebuild (resume = auto in the config the retry runs under), re-runs
+    // the mesh handshake (waiting for the supervisor's respawned rank),
+    // and replays from the last committed epoch the surviving team agrees
+    // on.
+    runtime::RunConfig attempt_run = run;
     for (int attempt = 0;; ++attempt) {
       try {
-        const auto transport = connect_tcp(config, num_workers);
+        const auto transport = connect_tcp(config, num_workers, attempt_run);
         return launch_distributed<WorkerT>(dg, *transport, config.rank,
-                                           configure, collect);
+                                           configure, collect, attempt_run);
       } catch (const runtime::TransportError& e) {
-        if (attempt >= config.recovery_attempts) throw;
+        if (attempt >= run.recovery_attempts) throw;
         std::fprintf(stderr,
                      "[pgch] rank %d: transport failure (%s); rejoining the "
                      "team (attempt %d of %d)\n",
                      config.rank, e.what(), attempt + 1,
-                     config.recovery_attempts);
+                     run.recovery_attempts);
         std::fflush(stderr);
-#ifndef _WIN32
-        ::setenv("PGCH_RESUME", "auto", 1);
-#endif
+        attempt_run.resume = -1;  // "auto"
       }
     }
   }
 
-  runtime::InProcessTransport transport(num_workers);
-  runtime::Exchange exchange(transport);
+  runtime::InProcessTransport transport(num_workers,
+                                       run.sim_net_bytes_per_sec());
+  runtime::Exchange exchange(transport,
+                             static_cast<std::size_t>(run.chunk_bytes));
   std::vector<runtime::RunStats> per_rank(
       static_cast<std::size_t>(num_workers));
   runtime::WorkerTeam::run(num_workers, [&](int rank) {
     per_rank[static_cast<std::size_t>(rank)] = detail::run_rank<WorkerT>(
-        dg, exchange, transport, rank, configure, collect);
+        dg, exchange, transport, rank, configure, collect, run);
   });
 
   runtime::RunStats merged = per_rank[0];
@@ -879,13 +887,17 @@ runtime::RunStats launch(
 /// Environment-configured form: tools/pgch_launch selects the transport,
 /// rank and endpoints through PGCH_* variables (launch_config.hpp), so
 /// the same example/bench binary runs in-process or as one rank of a
-/// multi-process team without a code change.
+/// multi-process team without a code change. The environment is parsed
+/// once; an unknown or malformed PGCH_* variable throws
+/// std::invalid_argument naming it.
 template <typename WorkerT>
 runtime::RunStats launch(
     const graph::DistributedGraph& dg,
     const std::function<void(WorkerT&)>& configure = nullptr,
     const std::function<void(WorkerT&, int)>& collect = nullptr) {
-  return launch<WorkerT>(dg, LaunchConfig::from_env(), configure, collect);
+  const runtime::RunConfig run = runtime::RunConfig::from_env();
+  return launch<WorkerT>(dg, LaunchConfig::from(run), configure, collect,
+                         run);
 }
 
 }  // namespace pregel::core

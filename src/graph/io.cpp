@@ -12,7 +12,6 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -275,8 +274,7 @@ CsrGraph load_binary_fd(int fd, const std::string& op) {
 // deep CSR invariant scan) on the FIRST mmap load of a file in this
 // process, then cache the verdict keyed by the file's identity
 // (device, inode, size, mtime); later loads of the unchanged file skip
-// straight to the spans. PGCH_MMAP_VERIFY=0 opts out entirely (trusted
-// snapshots, O(1) hot restarts even for the first load).
+// straight to the spans.
 
 struct VerifiedEntry {
   std::uint64_t size = 0;
@@ -290,11 +288,6 @@ verified_cache() {
   static std::map<std::pair<std::uint64_t, std::uint64_t>, VerifiedEntry>
       cache;
   return cache;
-}
-
-bool mmap_verify_enabled() {
-  const char* v = std::getenv("PGCH_MMAP_VERIFY");
-  return v == nullptr || std::string_view(v) != "0";
 }
 
 bool already_verified(const runtime::MappedFile& map, std::uint64_t checksum) {
@@ -344,7 +337,7 @@ CsrGraph load_mapped(std::shared_ptr<const runtime::MappedFile> map) {
                 static_cast<std::size_t>(h.num_edges))
           : std::span<const Weight>();
 
-  const bool verify = mmap_verify_enabled() && !already_verified(*map, h.checksum);
+  const bool verify = !already_verified(*map, h.checksum);
   CsrGraph g;
   try {
     g = CsrGraph::from_view(offsets, dst, weights, map, /*deep_validate=*/verify);
@@ -515,18 +508,8 @@ CsrGraph load_binary_mmap(const std::string& path) {
   return load_mapped(std::make_shared<const runtime::MappedFile>(path));
 }
 
-MmapMode mmap_mode_from_env() {
-  const char* v = std::getenv("PGCH_MMAP");
-  if (v == nullptr || *v == '\0') return MmapMode::kAuto;
-  const std::string_view s(v);
-  if (s == "1") return MmapMode::kOn;
-  if (s == "0") return MmapMode::kOff;
-  throw std::invalid_argument("PGCH_MMAP must be '1' or '0', got '" +
-                              std::string(s) + "'");
-}
-
 CsrGraph load_any(const std::string& path) {
-  return load_any(path, mmap_mode_from_env());
+  return load_any(path, runtime::RunConfig::from_env().mmap);
 }
 
 CsrGraph load_any(const std::string& path, MmapMode mode) {

@@ -22,6 +22,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
+#include "runtime/run_config.hpp"
 
 namespace pregel::graph {
 
@@ -55,21 +56,20 @@ CsrGraph load_binary(const std::string& path);
 /// Checksum policy: the payload checksum (and the O(V+E) CSR invariant
 /// scan) runs on the FIRST load of a given file per process and the
 /// verdict is cached by (device, inode, size, mtime), so hot restarts of
-/// the same snapshot are O(1); set PGCH_MMAP_VERIFY=0 to skip
-/// verification entirely. Corrupt files are rejected whenever
-/// verification runs.
+/// the same snapshot are O(1). Corrupt files are rejected on that first
+/// load.
 CsrGraph load_binary_mmap(const std::string& path);
 
 /// How load_any picks the snapshot loader: kAuto maps v3 snapshots and
 /// heap-loads everything else; kOn/kOff force the choice (a forced kOn
 /// still heap-loads v2 snapshots and text files — back-compat beats the
 /// preference). PGCH_MMAP=1/0 selects kOn/kOff; unset is kAuto.
-enum class MmapMode { kAuto, kOff, kOn };
-MmapMode mmap_mode_from_env();
+using MmapMode = runtime::MmapMode;
 
 /// Load either format through one open(2): the magic is sniffed from the
 /// descriptor, which is then either mapped (v3 + mmap selected), read
-/// into heap arrays (snapshots), or handed to the text parser.
+/// into heap arrays (snapshots), or handed to the text parser. The
+/// one-argument form takes the mode from PGCH_MMAP.
 CsrGraph load_any(const std::string& path);
 CsrGraph load_any(const std::string& path, MmapMode mode);
 

@@ -1,7 +1,6 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <queue>
 #include <random>
@@ -108,21 +107,6 @@ Partition degree_partition(const CsrGraph& g, int num_workers) {
   for (VertexId v = begin; v < n; ++v) p.owner[v] = num_workers - 1;
   build_members(p);
   return p;
-}
-
-PartitionKind parse_partition_kind(const std::string& name) {
-  if (name == "range") return PartitionKind::kRange;
-  if (name == "degree") return PartitionKind::kDegree;
-  if (name == "hash") return PartitionKind::kHash;
-  throw std::invalid_argument(
-      "PGCH_PARTITION must be 'range', 'degree' or 'hash', got '" + name +
-      "'");
-}
-
-PartitionKind partition_kind_from_env(PartitionKind fallback) {
-  const char* env = std::getenv("PGCH_PARTITION");
-  if (env == nullptr || *env == '\0') return fallback;
-  return parse_partition_kind(env);
 }
 
 Partition make_partition(const CsrGraph& g, int num_workers,

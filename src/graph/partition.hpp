@@ -10,6 +10,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
+#include "runtime/run_config.hpp"
 
 namespace pregel::graph {
 
@@ -53,16 +54,9 @@ Partition range_partition(VertexId n, int num_workers);
 /// space this removes the straggler rank that range_partition creates.
 Partition degree_partition(const CsrGraph& g, int num_workers);
 
-/// Which partitioner launch-time configuration selects (PGCH_PARTITION).
-enum class PartitionKind { kRange, kDegree, kHash };
-
-/// Parse a partitioner name ("range" | "degree" | "hash"); throws
-/// std::invalid_argument on anything else.
-PartitionKind parse_partition_kind(const std::string& name);
-
-/// The PGCH_PARTITION environment selection, else `fallback`.
-PartitionKind partition_kind_from_env(
-    PartitionKind fallback = PartitionKind::kHash);
+/// Which partitioner launch-time configuration selects (PGCH_PARTITION,
+/// parsed by runtime::RunConfig).
+using PartitionKind = runtime::PartitionKind;
 
 /// Build the selected partition over `g`. kRange and kHash only need the
 /// vertex count; kDegree reads the CSR degree structure.

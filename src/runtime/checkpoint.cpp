@@ -4,20 +4,15 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
-#ifdef _WIN32
-#include <direct.h>
-#else
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace pregel::runtime {
 
@@ -59,17 +54,10 @@ void make_dirs(const std::string& dir) {
       continue;
     }
     if (!partial.empty()) {
-#ifdef _WIN32
-      if (_mkdir(partial.c_str()) != 0 && errno != EEXIST) {
-        fail("checkpoint: cannot create directory '" + partial +
-             "': " + std::strerror(errno));
-      }
-#else
       if (::mkdir(partial.c_str(), 0777) != 0 && errno != EEXIST) {
         fail("checkpoint: cannot create directory '" + partial +
              "': " + std::strerror(errno));
       }
-#endif
     }
     if (i < dir.size()) partial.push_back('/');
   }
@@ -89,9 +77,7 @@ void atomic_write(const std::string& dir, const std::string& final_path,
   }
   const bool wrote = n == 0 || std::fwrite(bytes, 1, n, f) == n;
   bool flushed = std::fflush(f) == 0;
-#ifndef _WIN32
   if (wrote && flushed) flushed = ::fsync(::fileno(f)) == 0;
-#endif
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !flushed || !closed) {
     std::remove(tmp_path.c_str());
@@ -102,14 +88,12 @@ void atomic_write(const std::string& dir, const std::string& final_path,
     fail("checkpoint: cannot rename '" + tmp_path + "' into place: " +
          std::strerror(errno));
   }
-#ifndef _WIN32
   // fsync the directory so the rename itself survives a crash.
   const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
   if (dfd >= 0) {
     ::fsync(dfd);
     ::close(dfd);
   }
-#endif
 }
 
 std::string latest_marker_path(const std::string& dir) {
@@ -128,25 +112,6 @@ int parse_epoch_from_name(const char* name, int rank) {
 }
 
 }  // namespace
-
-CheckpointConfig CheckpointConfig::from_env() {
-  CheckpointConfig cfg;
-  if (const char* every = std::getenv("PGCH_CHECKPOINT_EVERY")) {
-    cfg.every = std::atoi(every);
-    if (cfg.every < 0) cfg.every = 0;
-  }
-  if (const char* dir = std::getenv("PGCH_CHECKPOINT_DIR")) {
-    if (dir[0] != '\0') cfg.dir = dir;
-  }
-  if (const char* resume = std::getenv("PGCH_RESUME")) {
-    if (resume[0] != '\0') {
-      cfg.resume = true;
-      cfg.resume_epoch =
-          std::strcmp(resume, "auto") == 0 ? -1 : std::atoi(resume);
-    }
-  }
-  return cfg;
-}
 
 std::string checkpoint_path(const std::string& dir, int rank, int epoch) {
   char name[64];
@@ -262,13 +227,6 @@ int read_latest_marker(const std::string& dir, int world) {
 
 int latest_valid_epoch(const std::string& dir, int rank, int world,
                        int at_most) {
-#ifdef _WIN32
-  (void)dir;
-  (void)rank;
-  (void)world;
-  (void)at_most;
-  return -1;
-#else
   DIR* d = ::opendir(dir.empty() ? "." : dir.c_str());
   if (d == nullptr) return -1;
   std::vector<int> epochs;
@@ -282,7 +240,6 @@ int latest_valid_epoch(const std::string& dir, int rank, int world,
     if (checkpoint_valid(dir, rank, world, epoch)) return epoch;
   }
   return -1;
-#endif
 }
 
 bool corrupt_checkpoint(const std::string& dir, int rank, int epoch) {
@@ -310,7 +267,6 @@ bool corrupt_checkpoint(const std::string& dir, int rank, int epoch) {
 }
 
 void prune_checkpoints(const std::string& dir, int rank, int keep_from_epoch) {
-#ifndef _WIN32
   DIR* d = ::opendir(dir.empty() ? "." : dir.c_str());
   if (d == nullptr) return;
   std::vector<std::string> doomed;
@@ -322,11 +278,6 @@ void prune_checkpoints(const std::string& dir, int rank, int keep_from_epoch) {
   for (const std::string& name : doomed) {
     std::remove((dir.empty() ? name : dir + "/" + name).c_str());
   }
-#else
-  (void)dir;
-  (void)rank;
-  (void)keep_from_epoch;
-#endif
 }
 
 }  // namespace pregel::runtime

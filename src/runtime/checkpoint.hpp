@@ -50,9 +50,8 @@ inline std::uint64_t checkpoint_fnv1a64(const void* data, std::size_t n) {
   return h;
 }
 
-/// Knobs for the checkpoint/restore cycle, read once per engine
-/// construction so a recovery retry inside one process picks up the
-/// resume request launch() sets.
+/// Knobs for the checkpoint/restore cycle (defaults: PGCH_CHECKPOINT_EVERY
+/// / PGCH_CHECKPOINT_DIR / PGCH_RESUME).
 struct CheckpointConfig {
   /// Checkpoint every K supersteps; 0 disables the subsystem entirely
   /// (no files, no barriers, no extra control traffic).
@@ -68,9 +67,6 @@ struct CheckpointConfig {
   int resume_epoch = -1;
 
   [[nodiscard]] bool enabled() const noexcept { return every > 0; }
-
-  /// PGCH_CHECKPOINT_EVERY / PGCH_CHECKPOINT_DIR / PGCH_RESUME.
-  static CheckpointConfig from_env();
 };
 
 /// Path of one rank's checkpoint file for one epoch.

@@ -31,10 +31,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,27 +65,6 @@ inline constexpr std::size_t kMaxChunkPayload = 8u << 20;
 /// negligible, small enough that serialize/wire/delivery overlap at
 /// superstep granularity.
 inline constexpr std::size_t kDefaultChunkBytes = 256u << 10;
-
-/// PGCH_CHUNK_BYTES: streaming chunk size for pipelined rounds, clamped to
-/// [64, kMaxChunkPayload]. Tests set it tiny to force many chunks per
-/// region.
-inline std::size_t chunk_bytes_from_env() {
-  const char* env = std::getenv("PGCH_CHUNK_BYTES");
-  if (env == nullptr || *env == '\0') return kDefaultChunkBytes;
-  const long v = std::strtol(env, nullptr, 10);
-  if (v < 64) return 64;
-  if (static_cast<std::size_t>(v) > kMaxChunkPayload) return kMaxChunkPayload;
-  return static_cast<std::size_t>(v);
-}
-
-/// PGCH_PIPELINE=1: opt in to pipelined rounds on transports that support
-/// them (bulk rounds remain the default and the parity oracle).
-inline bool pipeline_from_env() {
-  const char* env = std::getenv("PGCH_PIPELINE");
-  return env != nullptr &&
-         (std::string_view(env) == "1" || std::string_view(env) == "true" ||
-          std::string_view(env) == "on");
-}
 
 /// Chop a slice of one channel region into chunks of at most `chunk_bytes`
 /// and call fn(header, payload_ptr) per chunk. Seq numbers continue from

@@ -10,10 +10,8 @@
 // index and rely on a deterministic slot -> chunk mapping.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <ctime>
 #include <exception>
 #include <functional>
@@ -23,56 +21,6 @@
 #include <vector>
 
 namespace pregel::runtime {
-
-/// Intra-rank compute parallelism requested via the PGCH_COMPUTE_THREADS
-/// environment variable (unset / <= 1 = sequential compute phase). Read
-/// per call so tests and launch-time configuration can override it.
-inline int compute_threads_from_env() {
-  if (const char* env = std::getenv("PGCH_COMPUTE_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 1) return n;
-  }
-  return 1;
-}
-
-/// Intra-rank parallelism of the communication phase (sharded channel
-/// serialize and — when enabled — range-partitioned delivery), requested
-/// via PGCH_COMM_THREADS. Defaults to the compute parallelism, so setting
-/// PGCH_COMPUTE_THREADS alone parallelizes both phases; PGCH_COMM_THREADS=1
-/// forces the sequential communication path for A/B comparison. On a
-/// single-core host the *default* stays sequential — comm fan-out there
-/// only buys fork/join and cache contention — while an explicit
-/// PGCH_COMM_THREADS is honored verbatim.
-inline int comm_threads_from_env() {
-  if (const char* env = std::getenv("PGCH_COMM_THREADS")) {
-    const int n = std::atoi(env);
-    return n > 1 ? n : 1;
-  }
-  // hardware_concurrency() == 0 means "unknown", not "one core" — only a
-  // definite single-core report forces the sequential default.
-  if (std::thread::hardware_concurrency() == 1) return 1;
-  return compute_threads_from_env();
-}
-
-/// Receiver-side range-partitioned parallel delivery, requested via
-/// PGCH_PARALLEL_DELIVERY=1 (off by default; needs comm threads > 1 to
-/// take effect). Wire bytes and results are identical either way — the
-/// switch only moves the deserialize work onto the pool.
-inline bool parallel_delivery_from_env() {
-  const char* env = std::getenv("PGCH_PARALLEL_DELIVERY");
-  return env != nullptr && std::atoi(env) != 0;
-}
-
-/// Work stealing between compute slots, requested via PGCH_STEAL=1 (off
-/// by default; needs compute threads > 1 to take effect). The compute
-/// phase over-decomposes into kStealChunksPerSlot chunks per slot and
-/// idle slots steal chunks from busy ones; channel staging is keyed by
-/// chunk index and replayed in chunk order, so results stay
-/// bitwise-identical to the pinned schedule (DESIGN.md section 11).
-inline bool steal_from_env() {
-  const char* env = std::getenv("PGCH_STEAL");
-  return env != nullptr && std::atoi(env) != 0;
-}
 
 /// Over-decomposition factor of the stealing schedule: chunks per slot.
 /// 4x gives a thief useful grain to take without inflating the per-chunk
@@ -84,19 +32,12 @@ inline constexpr int kStealChunksPerSlot = 4;
 /// meters compute in CPU time, not wall time: on an oversubscribed host
 /// concurrent ranks time-slice the same cores, their compute wall clocks
 /// converge, and exactly the skew the metric exists to expose disappears
-/// from it. Falls back to a wall clock where no per-thread CPU clock
-/// exists.
+/// from it.
 inline double thread_cpu_seconds() {
-#ifdef _WIN32
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-#else
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
-#endif
 }
 
 /// Chunk dispenser of the stealing compute phase. Chunk indices

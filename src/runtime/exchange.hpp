@@ -52,8 +52,12 @@ namespace pregel::runtime {
 class Exchange {
  public:
   /// Frame layer over an externally owned transport (launch() and the
-  /// multi-process path).
-  explicit Exchange(Transport& transport) : transport_(&transport) {
+  /// multi-process path). `chunk_bytes` is the pipelined-round chunk size
+  /// (PGCH_CHUNK_BYTES; see set_chunk_bytes()).
+  explicit Exchange(Transport& transport,
+                    std::size_t chunk_bytes = kDefaultChunkBytes)
+      : transport_(&transport) {
+    set_chunk_bytes(chunk_bytes);
     init_lanes();
   }
 
@@ -252,7 +256,7 @@ class Exchange {
     return transport_->supports_pipeline();
   }
 
-  /// Streaming chunk size (defaults to PGCH_CHUNK_BYTES). Must be
+  /// Streaming chunk size, clamped to [64, kMaxChunkPayload]. Must be
   /// identical on every rank and set between rounds.
   void set_chunk_bytes(std::size_t n) {
     chunk_bytes_ = std::clamp(n, std::size_t{64}, kMaxChunkPayload);
@@ -592,7 +596,7 @@ class Exchange {
   std::unique_ptr<InProcessTransport> owned_transport_;
   Transport* transport_;
   std::vector<Lane> lanes_;
-  std::size_t chunk_bytes_ = chunk_bytes_from_env();
+  std::size_t chunk_bytes_ = kDefaultChunkBytes;
 };
 
 /// Historical name: the exchange used to own the W x W buffer matrix

@@ -4,17 +4,79 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 
 namespace pregel::runtime {
 
 namespace {
 
-/// Element-wise sum of per-superstep counters (ranks agree on the
-/// superstep count; tolerate a short tail anyway).
-void merge_per_superstep(std::vector<std::uint64_t>& into,
-                         const std::vector<std::uint64_t>& from) {
-  if (from.size() > into.size()) into.resize(from.size(), 0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
+template <class F>
+void for_each_field(F&& fn) {
+  std::apply([&](const auto&... f) { (fn(f), ...); }, kRunStatsFields);
+}
+
+/// A rule its field's type does not support fails to compile here.
+template <Merge M, class T>
+void merge_field(T& into, const T& from) {
+  if constexpr (M == Merge::kSum || M == Merge::kMax) {
+    static_assert(std::is_arithmetic_v<T>);
+    into = M == Merge::kSum ? into + from : std::max(into, from);
+  } else if constexpr (M == Merge::kMapSum) {
+    for (const auto& [key, value] : from) into[key] += value;
+  } else if constexpr (M == Merge::kConcat) {
+    into.insert(into.end(), from.begin(), from.end());
+  } else if constexpr (M == Merge::kAgree) {
+    // A divergence means a collective decision broke (e.g. PGCH_DIRECTION
+    // set differently across TCP rank processes) — fail loudly rather than
+    // report a record that describes no actual run.
+    if (into.empty()) {
+      into = from;
+    } else if (!from.empty() && into != from) {
+      throw std::logic_error(
+          "RunStats::merge_from: ranks disagree on a collective "
+          "per-superstep sequence (the push/pull direction must be "
+          "collective)");
+    }
+  } else {
+    // Element-wise; ranks agree on the superstep count, but tolerate a
+    // short tail anyway.
+    if (from.size() > into.size()) into.resize(from.size());
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      into[i] = M == Merge::kElementSum ? into[i] + from[i]
+                                        : std::max(into[i], from[i]);
+    }
+  }
+}
+
+template <class T>
+void write_field(Buffer& out, const T& v) {
+  if constexpr (requires { typename T::mapped_type; }) {
+    out.write<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
+    for (const auto& [key, value] : v) {
+      out.write_string(key);
+      out.write(value);
+    }
+  } else if constexpr (requires { typename T::value_type; }) {
+    out.write_vector(v);
+  } else {
+    out.write(v);
+  }
+}
+
+template <class T>
+void read_field(Buffer& in, T& v) {
+  if constexpr (requires { typename T::mapped_type; }) {
+    const auto n = in.read<std::uint32_t>();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::string key = in.read_string();
+      v[key] = in.read<typename T::mapped_type>();
+    }
+  } else if constexpr (requires { typename T::value_type; }) {
+    v = in.read_vector<typename T::value_type>();
+  } else {
+    v = in.read<T>();
+  }
 }
 
 }  // namespace
@@ -31,139 +93,19 @@ double RunStats::imbalance(const std::vector<double>& v) {
 }
 
 void RunStats::merge_from(const RunStats& other) {
-  // Wall time: ranks run concurrently, the run takes as long as the
-  // slowest rank. The compute/communication split is maxed the same way
-  // (each half of the slowest rank's split, not a cross-rank sum that
-  // would exceed the wall time).
-  seconds = std::max(seconds, other.seconds);
-  compute_seconds = std::max(compute_seconds, other.compute_seconds);
-  comm_seconds = std::max(comm_seconds, other.comm_seconds);
-  // The communication-phase breakdown is per-rank wall time like the
-  // split above: ranks overlap, so the team figure for each sub-phase is
-  // the slowest rank's, not a cross-rank sum that would exceed seconds.
-  serialize_seconds = std::max(serialize_seconds, other.serialize_seconds);
-  exchange_seconds = std::max(exchange_seconds, other.exchange_seconds);
-  deliver_seconds = std::max(deliver_seconds, other.deliver_seconds);
-  overlap_seconds = std::max(overlap_seconds, other.overlap_seconds);
-  // Supersteps and communication rounds are collective — the quiescence
-  // vote and the round loop keep every rank in lock-step, so all ranks
-  // report the same number. max() keeps the merge well-defined even if an
-  // engine ever diverges.
-  supersteps = std::max(supersteps, other.supersteps);
-  comm_rounds = std::max(comm_rounds, other.comm_rounds);
-  // The bulk/pipelined round decision is collective, so like comm_rounds
-  // every rank reports the same pipelined count.
-  pipelined_rounds = std::max(pipelined_rounds, other.pipelined_rounds);
-  // Traffic is accounted per rank (each rank counts what it handed to the
-  // transport), so the team figure is the sum — identically under the
-  // in-process and the TCP transport.
-  message_bytes += other.message_bytes;
-  message_batches += other.message_batches;
-  chunks_sent += other.chunks_sent;
-  chunks_received += other.chunks_received;
-  // Frame overhead and per-channel payload bytes are accounted per rank
-  // (each rank counts what it serialized), so the global figure is the
-  // sum.
-  frame_bytes += other.frame_bytes;
-  for (const auto& [name, bytes] : other.bytes_by_channel) {
-    bytes_by_channel[name] += bytes;
-  }
-  // Frontier sizes and per-superstep traffic are per-rank counts: the
-  // global figure of a superstep is their element-wise sum.
-  merge_per_superstep(active_per_superstep, other.active_per_superstep);
-  merge_per_superstep(bytes_per_superstep, other.bytes_per_superstep);
-  merge_per_superstep(chunks_per_superstep, other.chunks_per_superstep);
-  active_vertex_total += other.active_vertex_total;
-  // The per-superstep direction is a collective decision broadcast over
-  // the control lane: every rank must have recorded the identical
-  // sequence. A divergence means the direction collective broke (e.g.
-  // PGCH_DIRECTION set differently across TCP rank processes) — fail
-  // loudly rather than report a record that describes no actual run.
-  if (direction_per_superstep.empty()) {
-    direction_per_superstep = other.direction_per_superstep;
-  } else if (!other.direction_per_superstep.empty() &&
-             direction_per_superstep != other.direction_per_superstep) {
-    throw std::logic_error(
-        "RunStats::merge_from: ranks disagree on the per-superstep "
-        "direction — the push/pull decision must be collective");
-  }
-  // Per-slot compute time is a wall quantity like the phase split above:
-  // the team figure for slot s is the slowest rank's slot s.
-  if (other.compute_slot_seconds.size() > compute_slot_seconds.size()) {
-    compute_slot_seconds.resize(other.compute_slot_seconds.size(), 0.0);
-  }
-  for (std::size_t i = 0; i < other.compute_slot_seconds.size(); ++i) {
-    compute_slot_seconds[i] =
-        std::max(compute_slot_seconds[i], other.compute_slot_seconds[i]);
-  }
-  // Per-rank compute time concatenates: both fold paths (the in-process
-  // loop and the TCP gather at rank 0) merge ranks in ascending order, so
-  // index r stays rank r's figure.
-  rank_compute_seconds.insert(rank_compute_seconds.end(),
-                              other.rank_compute_seconds.begin(),
-                              other.rank_compute_seconds.end());
+  for_each_field([&](const auto& f) {
+    merge_field<std::remove_cvref_t<decltype(f)>::kMerge>(this->*f.member,
+                                                           other.*f.member);
+  });
 }
 
 void RunStats::serialize(Buffer& out) const {
-  out.write(seconds);
-  out.write(compute_seconds);
-  out.write(comm_seconds);
-  out.write(serialize_seconds);
-  out.write(exchange_seconds);
-  out.write(deliver_seconds);
-  out.write(overlap_seconds);
-  out.write<std::int32_t>(supersteps);
-  out.write(comm_rounds);
-  out.write(pipelined_rounds);
-  out.write(message_bytes);
-  out.write(message_batches);
-  out.write(chunks_sent);
-  out.write(chunks_received);
-  out.write(frame_bytes);
-  out.write<std::uint32_t>(static_cast<std::uint32_t>(
-      bytes_by_channel.size()));
-  for (const auto& [name, bytes] : bytes_by_channel) {
-    out.write_string(name);
-    out.write(bytes);
-  }
-  out.write_vector(active_per_superstep);
-  out.write(active_vertex_total);
-  out.write_vector(bytes_per_superstep);
-  out.write_vector(chunks_per_superstep);
-  out.write_vector(direction_per_superstep);
-  out.write_vector(compute_slot_seconds);
-  out.write_vector(rank_compute_seconds);
+  for_each_field([&](const auto& f) { write_field(out, this->*f.member); });
 }
 
 RunStats RunStats::deserialize(Buffer& in) {
   RunStats s;
-  s.seconds = in.read<double>();
-  s.compute_seconds = in.read<double>();
-  s.comm_seconds = in.read<double>();
-  s.serialize_seconds = in.read<double>();
-  s.exchange_seconds = in.read<double>();
-  s.deliver_seconds = in.read<double>();
-  s.overlap_seconds = in.read<double>();
-  s.supersteps = in.read<std::int32_t>();
-  s.comm_rounds = in.read<std::uint64_t>();
-  s.pipelined_rounds = in.read<std::uint64_t>();
-  s.message_bytes = in.read<std::uint64_t>();
-  s.message_batches = in.read<std::uint64_t>();
-  s.chunks_sent = in.read<std::uint64_t>();
-  s.chunks_received = in.read<std::uint64_t>();
-  s.frame_bytes = in.read<std::uint64_t>();
-  const auto channels = in.read<std::uint32_t>();
-  for (std::uint32_t i = 0; i < channels; ++i) {
-    const std::string name = in.read_string();
-    s.bytes_by_channel[name] = in.read<std::uint64_t>();
-  }
-  s.active_per_superstep = in.read_vector<std::uint64_t>();
-  s.active_vertex_total = in.read<std::uint64_t>();
-  s.bytes_per_superstep = in.read_vector<std::uint64_t>();
-  s.chunks_per_superstep = in.read_vector<std::uint64_t>();
-  s.direction_per_superstep = in.read_vector<std::uint8_t>();
-  s.compute_slot_seconds = in.read_vector<double>();
-  s.rank_compute_seconds = in.read_vector<double>();
+  for_each_field([&](const auto& f) { read_field(in, s.*f.member); });
   return s;
 }
 

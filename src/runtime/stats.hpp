@@ -7,11 +7,39 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runtime/buffer.hpp"
 
 namespace pregel::runtime {
+
+/// How RunStats::merge_from() folds one field across the ranks of a run.
+enum class Merge {
+  kSum,         ///< per-rank counter: the team figure is the sum
+  kMax,         ///< per-rank wall time, or a count every rank agrees on
+  kAgree,       ///< collective sequence: a mismatch throws, empty adopts
+  kConcat,      ///< per-rank vector, concatenated in ascending rank order
+  kElementSum,  ///< per-superstep counters, summed element-wise
+  kElementMax,  ///< per-slot wall quantity, maxed element-wise
+  kMapSum,      ///< per-key counter, summed key-wise
+};
+
+struct RunStats;
+
+/// One row of the RunStats field table (kRunStatsFields below).
+template <Merge M, class T>
+struct StatsField {
+  static constexpr Merge kMerge = M;
+  T RunStats::*member;
+  const char* json = nullptr;  ///< bench-row key; nullptr = not in rows
+};
+
+template <Merge M, class T>
+constexpr StatsField<M, T> field(T RunStats::*member,
+                                 const char* json = nullptr) {
+  return {member, json};
+}
 
 struct RunStats {
   double seconds = 0.0;          ///< wall time of the superstep loop
@@ -41,12 +69,12 @@ struct RunStats {
   /// reports the same count (<= comm_rounds).
   std::uint64_t pipelined_rounds = 0;
   /// Bytes this rank shipped through the exchange (payload + frame
-  /// headers). merge_from() sums the per-rank shares into the team total.
+  /// headers).
   std::uint64_t message_bytes = 0;
   std::uint64_t message_batches = 0; ///< non-empty (src,dst) buffers moved
 
   /// Chunks this rank streamed / reassembled in pipelined rounds (0 on
-  /// the bulk path). Per-rank counters; merge_from() sums them.
+  /// the bulk path).
   std::uint64_t chunks_sent = 0;
   std::uint64_t chunks_received = 0;
 
@@ -67,34 +95,32 @@ struct RunStats {
 
   /// Exchange bytes this rank shipped during each superstep (index 0 =
   /// superstep 1; a superstep with several communication rounds reports
-  /// their sum). Merged element-wise across ranks.
+  /// their sum).
   std::vector<std::uint64_t> bytes_per_superstep;
 
   /// Chunks this rank moved (sent + received) during each superstep
-  /// (index 0 = superstep 1; all-zero on the bulk path). Merged
-  /// element-wise across ranks.
+  /// (index 0 = superstep 1; all-zero on the bulk path).
   std::vector<std::uint64_t> chunks_per_superstep;
 
   /// Direction the engine chose for each superstep (channel engine only;
   /// index 0 = superstep 1): 0 = push, 1 = pull — the numeric values of
   /// core::Direction. The decision is collective, so every rank records
-  /// the identical sequence; merge_from() asserts that.
+  /// the identical sequence.
   std::vector<std::uint8_t> direction_per_superstep;
 
   /// CPU seconds each ComputePool slot burned in compute phases over the
   /// run (index = slot; empty for sequential compute; CPU rather than
   /// wall time so the figure survives an oversubscribed host). Skew
   /// observability: with a pinned schedule a hub-heavy chunk shows up as
-  /// one slot far above the mean; work stealing flattens it. merge_from()
-  /// takes the element-wise max across ranks (the slowest rank's slot is
-  /// what the barrier waits on).
+  /// one slot far above the mean; work stealing flattens it. The team
+  /// figure is the slowest rank's slot: what the barrier waits on.
   std::vector<double> compute_slot_seconds;
 
   /// CPU seconds each *rank* burned in its compute phases, in rank order
-  /// (engines record their own figure at the end of run(); merge_from()
-  /// concatenates, and both the in-process and the TCP stats folds merge
-  /// in ascending rank order). The max/mean of this vector is the
-  /// cross-rank load imbalance a partitioner leaves behind.
+  /// (engines record their own figure at the end of run(); both the
+  /// in-process and the TCP stats folds merge in ascending rank order).
+  /// The max/mean of this vector is the cross-rank load imbalance a
+  /// partitioner leaves behind.
   std::vector<double> rank_compute_seconds;
 
   /// Max/mean imbalance of a nonnegative sample vector: 1.0 = perfectly
@@ -120,9 +146,8 @@ struct RunStats {
     direction_per_superstep.push_back(dir);
   }
 
-  /// Fold another rank's stats of the same run into this one, explicitly
-  /// per field: per-rank counters are summed, globally-agreed quantities
-  /// kept verbatim, wall time maxed. See stats.cpp for the field map.
+  /// Fold another rank's stats of the same run into this one, field by
+  /// field under each field's Merge rule (kRunStatsFields).
   void merge_from(const RunStats& other);
 
   /// Wire round-trip for the multi-process stats fold: every rank ships
@@ -141,6 +166,37 @@ struct RunStats {
   /// Multi-line report including the per-channel byte breakdown and the
   /// compute/communication wall-time split.
   [[nodiscard]] std::string detailed() const;
+};
+
+/// Every RunStats field, once: its Merge rule and its bench-row key.
+/// merge_from(), serialize(), deserialize() and the bench-row writer
+/// (bench/bench_common.hpp) iterate this table, so a new field costs its
+/// member plus one line here. The order is the wire format of the stats
+/// fold and of checkpoints — append, never reorder.
+inline constexpr std::tuple kRunStatsFields{
+    field<Merge::kMax>(&RunStats::seconds, "wall_s"),
+    field<Merge::kMax>(&RunStats::compute_seconds, "compute_s"),
+    field<Merge::kMax>(&RunStats::comm_seconds, "comm_s"),
+    field<Merge::kMax>(&RunStats::serialize_seconds, "serialize_s"),
+    field<Merge::kMax>(&RunStats::exchange_seconds, "exchange_s"),
+    field<Merge::kMax>(&RunStats::deliver_seconds, "deliver_s"),
+    field<Merge::kMax>(&RunStats::overlap_seconds, "overlap_s"),
+    field<Merge::kMax>(&RunStats::supersteps, "supersteps"),
+    field<Merge::kMax>(&RunStats::comm_rounds, "comm_rounds"),
+    field<Merge::kMax>(&RunStats::pipelined_rounds, "pipelined_rounds"),
+    field<Merge::kSum>(&RunStats::message_bytes, "msg_bytes"),
+    field<Merge::kSum>(&RunStats::message_batches),
+    field<Merge::kSum>(&RunStats::chunks_sent, "chunks_sent"),
+    field<Merge::kSum>(&RunStats::chunks_received, "chunks_received"),
+    field<Merge::kSum>(&RunStats::frame_bytes),
+    field<Merge::kMapSum>(&RunStats::bytes_by_channel),
+    field<Merge::kElementSum>(&RunStats::active_per_superstep),
+    field<Merge::kSum>(&RunStats::active_vertex_total),
+    field<Merge::kElementSum>(&RunStats::bytes_per_superstep),
+    field<Merge::kElementSum>(&RunStats::chunks_per_superstep),
+    field<Merge::kAgree>(&RunStats::direction_per_superstep),
+    field<Merge::kElementMax>(&RunStats::compute_slot_seconds),
+    field<Merge::kConcat>(&RunStats::rank_compute_seconds),
 };
 
 }  // namespace pregel::runtime

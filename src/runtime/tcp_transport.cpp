@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include <string>
 #include <thread>
 
-#ifndef _WIN32
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
@@ -22,7 +20,6 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 namespace pregel::runtime {
 
@@ -32,16 +29,6 @@ constexpr std::uint8_t kMsgData = 1;     ///< one exchange-round outbox
 constexpr std::uint8_t kMsgControl = 2;  ///< one u64 of the control lane
 constexpr std::uint8_t kMsgBlob = 3;     ///< gather/broadcast payload
 constexpr std::uint8_t kMsgHeartbeat = 4;  ///< empty liveness beacon
-
-/// Non-negative integer knob from the environment; `fallback` when unset
-/// or unparsable. Parsed per transport so a recovery attempt (a fresh
-/// transport in the same process) picks up any changes.
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
 
 /// Connection handshake, sent by the connecting (higher-rank accepts /
 /// lower-rank listens is NOT the scheme — see connect_mesh: rank r
@@ -58,8 +45,6 @@ struct Hello {
   throw TransportError("TcpTransport: " + what + ": " +
                        std::strerror(errno));
 }
-
-#ifndef _WIN32
 
 void set_nodelay(int fd) {
   int one = 1;
@@ -160,55 +145,8 @@ constexpr std::size_t kSendQueueCapBytes = 4u << 20;
 /// draining the socket (the main thread pops them region by region).
 constexpr std::size_t kRecvQueueCapChunks = 256;
 
-#endif  // !_WIN32
-
 }  // namespace
 
-#ifdef _WIN32
-
-struct TcpPeerPipe {};
-
-// The TCP backend is POSIX-only; Windows builds keep linking but refuse
-// to construct it (the in-process transport remains available).
-TcpTransport::TcpTransport(int rank, int world_size, const TcpEndpoint&)
-    : rank_(rank), world_(world_size) {
-  throw TransportError("TcpTransport requires POSIX sockets");
-}
-TcpTransport::~TcpTransport() = default;
-void TcpTransport::connect_mesh(const std::vector<TcpEndpoint>&, double) {}
-Buffer& TcpTransport::outbox(int, int) { throw TransportError("unsupported"); }
-Buffer& TcpTransport::inbox(int, int) { throw TransportError("unsupported"); }
-void TcpTransport::exchange(int) {}
-void TcpTransport::barrier(int) {}
-std::uint64_t TcpTransport::allreduce_or(int, std::uint64_t) { return 0; }
-std::uint64_t TcpTransport::allreduce_sum(int, std::uint64_t) { return 0; }
-std::vector<Buffer> TcpTransport::gather_to_root(int, const Buffer&) {
-  return {};
-}
-void TcpTransport::broadcast_from_root(int, Buffer*) {}
-bool TcpTransport::supports_pipeline() const noexcept { return false; }
-void TcpTransport::pipeline_begin(int) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_send(int, int, const ChunkHeader&, const void*) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_flush_sends(int) {
-  throw TransportError("unsupported");
-}
-bool TcpTransport::pipeline_recv(int, int, DecodedChunk*) {
-  throw TransportError("unsupported");
-}
-void TcpTransport::pipeline_end(int) { throw TransportError("unsupported"); }
-void TcpTransport::ensure_pipes() {}
-void TcpTransport::stop_pipes() noexcept {}
-TcpPeerPipe& TcpTransport::pipe(int) { throw TransportError("unsupported"); }
-void TcpTransport::pace_wire(std::size_t) {}
-void TcpTransport::set_heartbeat_window(int, bool) {}
-void TcpTransport::heartbeat_main() {}
-void TcpTransport::stop_heartbeat() noexcept {}
-
-#else  // POSIX implementation
 
 /// Per-peer pipelined-round machinery. One sender thread drains a bounded
 /// queue of pre-encoded chunks into the socket; one receiver thread runs
@@ -335,7 +273,7 @@ struct TcpPeerPipe {
 };
 
 TcpTransport::TcpTransport(int rank, int world_size,
-                           const TcpEndpoint& listen)
+                           const TcpEndpoint& listen, const RunConfig& config)
     : rank_(rank),
       world_(world_size),
       fds_(static_cast<std::size_t>(world_size), -1),
@@ -348,9 +286,10 @@ TcpTransport::TcpTransport(int rank, int world_size,
     throw std::invalid_argument("TcpTransport: rank out of range");
   }
 
-  io_timeout_ms_ = env_int("PGCH_IO_TIMEOUT_MS", 0);
-  heartbeat_ms_ = env_int("PGCH_HEARTBEAT_MS", 0);
-  connect_retries_ = env_int("PGCH_CONNECT_RETRIES", 0);
+  io_timeout_ms_ = config.io_timeout_ms;
+  heartbeat_ms_ = config.heartbeat_ms;
+  connect_retries_ = config.connect_retries;
+  sim_bandwidth_ = config.sim_net_bytes_per_sec();
 
   if (world_ == 1) {
     connected_ = true;  // no sockets needed
@@ -796,7 +735,7 @@ void TcpTransport::ensure_pipes() {
 }
 
 void TcpTransport::pace_wire(std::size_t bytes) {
-  const double bw = sim_bandwidth_.load(std::memory_order_relaxed);
+  const double bw = sim_bandwidth_;
   if (bw <= 0.0 || bytes == 0) return;
   std::chrono::steady_clock::time_point due;
   {
@@ -949,7 +888,5 @@ void TcpTransport::pipeline_end(int rank) {
     }
   }
 }
-
-#endif  // _WIN32
 
 }  // namespace pregel::runtime

@@ -22,7 +22,6 @@
 // Like the binary snapshot format, the wire encoding is little-endian by
 // definition (raw struct bytes); mixed-endian clusters are not supported.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -48,8 +47,10 @@ class TcpTransport final : public Transport {
  public:
   /// Phase 1: bind and listen on `listen.port` (0 picks an ephemeral port
   /// — read it back with listen_port() and distribute it out of band).
-  /// No peer connections are made yet.
-  TcpTransport(int rank, int world_size, const TcpEndpoint& listen);
+  /// No peer connections are made yet. `config` supplies the timeouts,
+  /// heartbeats, connect retries and simulated link (default: all off).
+  TcpTransport(int rank, int world_size, const TcpEndpoint& listen,
+               const RunConfig& config = {});
   ~TcpTransport() override;
 
   /// Phase 2 (collective): establish the full mesh. `peers[r]` is rank
@@ -81,16 +82,6 @@ class TcpTransport final : public Transport {
   // exact-size reads, parking both between rounds so the same sockets can
   // carry bulk and control traffic. Threads are spawned lazily on the
   // first pipeline_begin().
-
-  /// Simulated link bandwidth for pipelined sends (bytes/second; 0 = real
-  /// wire speed). Seeded from PGCH_SIM_NET_MBPS like the in-process
-  /// transport's exchange throttle, so pipelined and bulk benchmark rows
-  /// model the same link. The sender threads pace each chunk's write to
-  /// this rate through one shared budget (one NIC per rank, however many
-  /// peers). Bulk exchange() stays at real wire speed. Set between rounds.
-  void set_simulated_bandwidth(double bytes_per_sec) noexcept {
-    sim_bandwidth_.store(bytes_per_sec, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] bool supports_pipeline() const noexcept override;
 
@@ -158,7 +149,7 @@ class TcpTransport final : public Transport {
   bool connected_ = false;
   std::vector<std::unique_ptr<TcpPeerPipe>> pipes_;  ///< per peer; lazy
 
-  // Failure-detection knobs (parsed from the environment in the ctor).
+  // Failure-detection knobs (RunConfig, see the ctor).
   int io_timeout_ms_ = 0;    ///< PGCH_IO_TIMEOUT_MS; 0 = wait forever
   int heartbeat_ms_ = 0;     ///< PGCH_HEARTBEAT_MS; 0 = no heartbeats
   int connect_retries_ = 0;  ///< PGCH_CONNECT_RETRIES; 0 = deadline only
@@ -170,8 +161,10 @@ class TcpTransport final : public Transport {
   bool hb_open_ = false;
   bool hb_stop_ = false;
 
-  // Simulated-link pacing of pipelined sends (see set_simulated_bandwidth).
-  std::atomic<double> sim_bandwidth_{simulated_bandwidth_bytes_per_sec()};
+  // Simulated link for pipelined sends (PGCH_SIM_NET_MBPS in bytes/second;
+  // 0 = wire speed): sender threads pace each chunk through one shared
+  // budget (one NIC per rank); bulk exchange() stays at wire speed.
+  double sim_bandwidth_ = 0.0;
   std::mutex pace_mu_;
   std::chrono::steady_clock::time_point pace_next_{};
 

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "runtime/barrier.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/chunk.hpp"
+#include "runtime/run_config.hpp"
 
 namespace pregel::runtime {
 
@@ -40,32 +40,13 @@ class TransportError : public ProtocolError {
   using ProtocolError::ProtocolError;
 };
 
-/// Which transport backs a run. kInProcess: one process, workers are
-/// threads, buffer exchange is a matrix swap. kTcp: one process per rank,
-/// buffers cross real sockets.
-enum class TransportKind { kInProcess, kTcp };
-
-/// Parse a PGCH_SIM_NET_MBPS value into bytes/second (0 = disabled).
-inline double parse_sim_net_mbps(const char* text) {
-  if (text == nullptr) return 0.0;
-  const double mbps = std::atof(text);
-  return mbps > 0.0 ? mbps * 1024.0 * 1024.0 : 0.0;
-}
-
-/// Simulated per-worker network bandwidth in MB/s, read once from the
-/// PGCH_SIM_NET_MBPS environment variable (0 / unset = disabled).
-///
-/// In-process workers are threads, so buffer exchange is a memcpy: the
-/// transit time a real cluster pays (the paper's testbed: 750 Mbps links)
-/// is absent, and optimizations whose benefit is *message volume* would
-/// show up only in the byte counters, not in runtime. When enabled, every
-/// exchange round blocks for max_w(bytes_in(w), bytes_out(w)) / bandwidth
-/// — the bottleneck-link time of that round. See DESIGN.md section 1.
-/// The TCP transport ignores it: its wire time is real.
+/// The simulated per-worker link bandwidth PGCH_SIM_NET_MBPS selects in
+/// the current environment, in bytes/second (0 = disabled). launch()
+/// applies it to the transports it builds: the in-process exchange blocks
+/// each round for its bottleneck-link time (DESIGN.md section 1), and TCP
+/// paces pipelined sends to it.
 inline double simulated_bandwidth_bytes_per_sec() {
-  static const double value =
-      parse_sim_net_mbps(std::getenv("PGCH_SIM_NET_MBPS"));
-  return value;
+  return RunConfig::from_env().sim_net_bytes_per_sec();
 }
 
 /// Abstract data-plane + control-lane substrate. All operations are
@@ -188,9 +169,13 @@ class Transport {
 /// shared by all ranks of the team.
 class InProcessTransport final : public Transport {
  public:
-  /// Owns its barrier (the launch() path).
-  explicit InProcessTransport(int num_workers)
-      : InProcessTransport(num_workers, nullptr) {}
+  /// Owns its barrier (the launch() path). `sim_bytes_per_sec` is the
+  /// simulated link (PGCH_SIM_NET_MBPS; 0 disables it).
+  explicit InProcessTransport(int num_workers,
+                              double sim_bytes_per_sec = 0.0)
+      : InProcessTransport(num_workers, nullptr) {
+    sim_bandwidth_ = sim_bytes_per_sec;
+  }
 
   /// Shares an externally owned barrier (tests that sequence their own
   /// collectives against it).
@@ -249,13 +234,6 @@ class InProcessTransport final : public Transport {
     barrier_->arrive_and_wait();
     if (rank != 0) *data = *bcast_src_;
     barrier_->arrive_and_wait();
-  }
-
-  /// Override the simulated link bandwidth (bytes/second, 0 disables);
-  /// defaults to the PGCH_SIM_NET_MBPS environment variable. Set before
-  /// the run — the throttle reads it inside the exchange barrier.
-  void set_simulated_bandwidth(double bytes_per_sec) noexcept {
-    sim_bandwidth_ = bytes_per_sec;
   }
 
  private:
@@ -332,7 +310,7 @@ class InProcessTransport final : public Transport {
   std::uint64_t reduce_result_ = 0;
   std::vector<const Buffer*> gather_slots_;
   Buffer* bcast_src_ = nullptr;
-  double sim_bandwidth_ = simulated_bandwidth_bytes_per_sec();
+  double sim_bandwidth_ = 0.0;
 };
 
 }  // namespace pregel::runtime

@@ -266,17 +266,15 @@ TEST(Direction, AdaptiveHysteresisTable) {
 }
 
 TEST(Direction, ModeFromEnvParsesAndRejects) {
-  unsetenv("PGCH_DIRECTION");
-  EXPECT_EQ(direction_mode_from_env(), DirectionMode::kPush);
-  setenv("PGCH_DIRECTION", "push", 1);
-  EXPECT_EQ(direction_mode_from_env(), DirectionMode::kPush);
-  setenv("PGCH_DIRECTION", "pull", 1);
-  EXPECT_EQ(direction_mode_from_env(), DirectionMode::kPull);
-  setenv("PGCH_DIRECTION", "adaptive", 1);
-  EXPECT_EQ(direction_mode_from_env(), DirectionMode::kAdaptive);
-  setenv("PGCH_DIRECTION", "sideways", 1);
-  EXPECT_THROW(direction_mode_from_env(), std::invalid_argument);
-  unsetenv("PGCH_DIRECTION");
+  const auto mode = [](const char* value) {
+    return runtime::RunConfig::from_vars({{"PGCH_DIRECTION", value}})
+        .direction;
+  };
+  EXPECT_EQ(runtime::RunConfig::from_vars({}).direction, DirectionMode::kPush);
+  EXPECT_EQ(mode("push"), DirectionMode::kPush);
+  EXPECT_EQ(mode("pull"), DirectionMode::kPull);
+  EXPECT_EQ(mode("adaptive"), DirectionMode::kAdaptive);
+  EXPECT_THROW(mode("sideways"), std::invalid_argument);
 }
 
 // -------------------------------------------------------- TCP transport --

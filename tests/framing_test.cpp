@@ -227,8 +227,10 @@ class TooManyChannelsWorker : public Worker<NopVertex> {
  public:
   TooManyChannelsWorker() {
     for (int i = 0; i <= kMaxChannels; ++i) {
-      chans_.push_back(std::make_unique<DirectMessage<NopVertex, int>>(
-          this, "c" + std::to_string(i)));
+      std::string name = "c";
+      name += std::to_string(i);
+      chans_.push_back(
+          std::make_unique<DirectMessage<NopVertex, int>>(this, name));
     }
   }
   void compute(NopVertex& v) override { v.vote_to_halt(); }

@@ -2,8 +2,8 @@
 // mmap loads must be bitwise-identical to heap loads, v2 snapshots must
 // keep heap-loading (and be rejected by the mapper with an upgrade hint),
 // corrupt and truncated files must be rejected on the mmap path, the
-// verify-once checksum cache and its PGCH_MMAP_VERIFY=0 opt-out must do
-// what they claim, the mapping must outlive every copy of the graph, and
+// verify-once checksum cache must do what it claims, the mapping must
+// outlive every copy of the graph, and
 // a 2-rank TCP run over one mapped snapshot must match the heap run
 // bitwise.
 
@@ -89,30 +89,6 @@ void flip_byte(const std::string& path, std::size_t pos) {
   f.write(&c, 1);
 }
 
-/// RAII environment override restoring the prior value on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
 // ------------------------------------------------ heap/mmap equivalence --
 
 TEST(MmapLoad, MatchesHeapLoadBitwise) {
@@ -157,22 +133,13 @@ TEST(MmapLoad, LoadAnyAutoPicksMmapForV3Only) {
 }
 
 TEST(MmapLoad, EnvModeParsesLikeTheOtherKnobs) {
-  {
-    const ScopedEnv env("PGCH_MMAP", nullptr);
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kAuto);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "1");
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kOn);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "0");
-    EXPECT_EQ(mmap_mode_from_env(), MmapMode::kOff);
-  }
-  {
-    const ScopedEnv env("PGCH_MMAP", "yes");
-    EXPECT_THROW(mmap_mode_from_env(), std::invalid_argument);
-  }
+  const auto mode = [](const char* value) {
+    return pregel::runtime::RunConfig::from_vars({{"PGCH_MMAP", value}}).mmap;
+  };
+  EXPECT_EQ(pregel::runtime::RunConfig::from_vars({}).mmap, MmapMode::kAuto);
+  EXPECT_EQ(mode("1"), MmapMode::kOn);
+  EXPECT_EQ(mode("0"), MmapMode::kOff);
+  EXPECT_THROW(mode("yes"), std::invalid_argument);
 }
 
 // ------------------------------------------------------ v2 back-compat --
@@ -276,23 +243,6 @@ TEST(MmapLoad, MappedFileRejectsMissingEmptyAndDirectory) {
 }
 
 // ------------------------------------------------ verification policy --
-
-TEST(MmapLoad, VerifyOptOutLoadsWithoutChecksumming) {
-  const CsrGraph g = test_graph(127);
-  const auto path = temp_path("pgch_mmap_noverify.bin");
-  save_binary(g, path);
-  const auto dst_off = snapshot_info(path)->dst_off;
-  flip_byte(path, dst_off + 33);  // corrupt a dst entry
-
-  {
-    const ScopedEnv env("PGCH_MMAP_VERIFY", "0");
-    EXPECT_NO_THROW((void)load_binary_mmap(path));  // trusted-snapshot mode
-  }
-  // With verification back on, the same corrupt file is rejected (the
-  // in-place flip moved mtime, so no stale cache entry can match).
-  EXPECT_THROW(load_binary_mmap(path), std::runtime_error);
-  std::remove(path.c_str());
-}
 
 TEST(MmapLoad, ChecksumVerifiesOncePerFileUntilItChanges) {
   const CsrGraph g = test_graph(131);

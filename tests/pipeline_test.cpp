@@ -371,8 +371,9 @@ TEST(PipelineExchange, PacedSendsStretchTheWireSpan) {
   constexpr int kW = 2;
   constexpr std::size_t kBytes = 256 * 1024;
   constexpr double kBandwidth = 8e6;  // 8 MB/s -> >= 32 ms on the wire
-  auto mesh = make_mesh(kW);
-  for (auto& t : mesh) t->set_simulated_bandwidth(kBandwidth);
+  runtime::RunConfig link;
+  link.sim_net_mbps = kBandwidth / (1024.0 * 1024.0);
+  auto mesh = make_mesh(kW, link);
   const auto blob = pattern_bytes(kBytes, 8);
   std::vector<double> wire(kW, 0.0);
   std::vector<int> ok(kW, 0);
@@ -455,8 +456,7 @@ constexpr PipeMode kPipeModes[] = {
 };
 
 /// Pin every knob so the matrix is deterministic regardless of the PGCH_*
-/// variables the CI legs set. Chunk size is tiny so pipelined regions
-/// actually split into many chunks.
+/// variables the CI legs set (the chunk size is pinned in run_tcp()).
 template <typename WorkerT>
 std::function<void(WorkerT&)> pin(const PipeMode& m,
                                   std::function<void(WorkerT&)> extra = {}) {
@@ -467,7 +467,6 @@ std::function<void(WorkerT&)> pin(const PipeMode& m,
     w.set_comm_threads(m.comm);
     w.set_parallel_delivery(m.delivery);
     w.set_pipeline(m.pipelined);
-    w.set_chunk_bytes(512);
     if (extra) extra(w);
   };
 }
@@ -478,6 +477,9 @@ RunStats run_tcp(const graph::DistributedGraph& dg, int world,
                  const std::function<void(WorkerT&)>& configure) {
   out.assign(dg.num_vertices(), OutT{});
   auto mesh = make_mesh(world);
+  // Tiny chunks, so pipelined regions actually split into many of them.
+  runtime::RunConfig run = runtime::RunConfig::from_env();
+  run.chunk_bytes = 512;
   std::vector<RunStats> merged(static_cast<std::size_t>(world));
   WorkerTeam::run(world, [&](int rank) {
     merged[static_cast<std::size_t>(rank)] =
@@ -486,7 +488,8 @@ RunStats run_tcp(const graph::DistributedGraph& dg, int world,
             [&](WorkerT& w, int /*r*/) {
               w.for_each_vertex(
                   [&](const auto& v) { out[v.id()] = extract(v); });
-            });
+            },
+            run);
   });
   return merged[0];
 }

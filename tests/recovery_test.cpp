@@ -21,10 +21,8 @@
 #include <utility>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <gtest/gtest.h>
 
@@ -329,14 +327,12 @@ TEST(Recovery, MidPipelinePeerDeathThrowsInsteadOfHanging) {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::string_view(argv[1]) == "--child") return run_child();
-#ifndef _WIN32
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (n > 0) {
     buf[n] = '\0';
     g_self = buf;
   }
-#endif
   if (g_self.empty()) g_self = argv[0];
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

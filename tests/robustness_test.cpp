@@ -59,8 +59,8 @@ class BadRespondWorker : public Worker<NopVertex> {
  public:
   void compute(NopVertex& v) override {
     if (step_num() == 2) {
-      EXPECT_THROW(rr_.get_respond(), std::logic_error);
-      EXPECT_THROW(rr_.get_respond(0), std::logic_error);
+      EXPECT_THROW((void)rr_.get_respond(), std::logic_error);
+      EXPECT_THROW((void)rr_.get_respond(0), std::logic_error);
       EXPECT_FALSE(rr_.has_respond(0));
     }
     if (step_num() >= 2) v.vote_to_halt();

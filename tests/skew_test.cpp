@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -137,25 +137,18 @@ TEST(DegreePartition, BeatsRangeOnSkewedGraph) {
 }
 
 TEST(DegreePartition, KindParsingAndEnvSelection) {
-  EXPECT_EQ(graph::parse_partition_kind("range"),
-            graph::PartitionKind::kRange);
-  EXPECT_EQ(graph::parse_partition_kind("degree"),
-            graph::PartitionKind::kDegree);
-  EXPECT_EQ(graph::parse_partition_kind("hash"),
+  const auto kind = [](const char* value) {
+    return runtime::RunConfig::from_vars({{"PGCH_PARTITION", value}})
+        .partition;
+  };
+  EXPECT_EQ(kind("range"), graph::PartitionKind::kRange);
+  EXPECT_EQ(kind("degree"), graph::PartitionKind::kDegree);
+  EXPECT_EQ(kind("hash"), graph::PartitionKind::kHash);
+  EXPECT_THROW(kind("voronoi"), std::invalid_argument);
+  // Unset leaves the choice to the caller's fallback.
+  EXPECT_EQ(runtime::RunConfig::from_vars({}).partition.value_or(
+                graph::PartitionKind::kHash),
             graph::PartitionKind::kHash);
-  EXPECT_THROW(graph::parse_partition_kind("voronoi"), std::invalid_argument);
-
-  // Save/restore PGCH_PARTITION: the CI skew leg sets it globally.
-  const char* old = std::getenv("PGCH_PARTITION");
-  const std::optional<std::string> saved =
-      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
-  setenv("PGCH_PARTITION", "degree", 1);
-  EXPECT_EQ(graph::partition_kind_from_env(graph::PartitionKind::kHash),
-            graph::PartitionKind::kDegree);
-  unsetenv("PGCH_PARTITION");
-  EXPECT_EQ(graph::partition_kind_from_env(graph::PartitionKind::kHash),
-            graph::PartitionKind::kHash);
-  if (saved) setenv("PGCH_PARTITION", saved->c_str(), 1);
 
   const graph::CsrGraph g = skewed_csr();
   const graph::Partition p =
@@ -464,18 +457,20 @@ TEST(MirrorDegree, PageRankMirrorWithinToleranceAcrossThresholds) {
   const auto rank = [](const algo::PRVertex& v) { return v.value().rank; };
   const auto ref = collect<algo::PageRankMirror, double>(
       dg, rank, [](algo::PageRankMirror& w) { w.iterations = 10; });
-  // PageRankMirror reads its threshold from PGCH_MIRROR_DEGREE.
-  const char* old = std::getenv("PGCH_MIRROR_DEGREE");
-  const std::optional<std::string> saved =
-      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
-  setenv("PGCH_MIRROR_DEGREE", "8", 1);
-  const auto got = collect<algo::PageRankMirror, double>(
-      dg, rank, [](algo::PageRankMirror& w) { w.iterations = 10; });
-  if (saved) {
-    setenv("PGCH_MIRROR_DEGREE", saved->c_str(), 1);
-  } else {
-    unsetenv("PGCH_MIRROR_DEGREE");
-  }
+  // PageRankMirror takes its threshold from PGCH_MIRROR_DEGREE: parse
+  // the process's knobs with that one set on top.
+  std::map<std::string, std::string> vars =
+      runtime::RunConfig::from_env().to_vars();
+  vars["PGCH_MIRROR_DEGREE"] = "8";
+  const runtime::RunConfig run = runtime::RunConfig::from_vars(vars);
+  std::vector<double> got(g.num_vertices());
+  core::launch<algo::PageRankMirror>(
+      dg, core::LaunchConfig{},
+      [](algo::PageRankMirror& w) { w.iterations = 10; },
+      [&](algo::PageRankMirror& w, int) {
+        w.for_each_vertex([&](const auto& v) { got[v.id()] = rank(v); });
+      },
+      run);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], 1e-9) << i;

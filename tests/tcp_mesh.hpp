@@ -35,8 +35,9 @@ inline bool is_transient_port_collision(const std::exception& e) {
 
 /// W transports on ephemeral loopback ports, mesh-connected; retries the
 /// whole build on transient port collisions (bounded, doubling backoff).
+/// `config` carries the transports' PGCH_* knobs (simulated link, ...).
 inline std::vector<std::unique_ptr<runtime::TcpTransport>> make_mesh(
-    int world) {
+    int world, const runtime::RunConfig& config = {}) {
   constexpr int kAttempts = 5;
   for (int attempt = 1;; ++attempt) {
     try {
@@ -45,7 +46,7 @@ inline std::vector<std::unique_ptr<runtime::TcpTransport>> make_mesh(
           static_cast<std::size_t>(world));
       for (int rank = 0; rank < world; ++rank) {
         transports.push_back(std::make_unique<runtime::TcpTransport>(
-            rank, world, runtime::TcpEndpoint{"127.0.0.1", 0}));
+            rank, world, runtime::TcpEndpoint{"127.0.0.1", 0}, config));
         peers[static_cast<std::size_t>(rank)] =
             runtime::TcpEndpoint{"127.0.0.1",
                                  transports.back()->listen_port()};

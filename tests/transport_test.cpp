@@ -47,19 +47,23 @@ double elapsed_seconds(const std::chrono::steady_clock::time_point t0) {
 // ------------------------------------------- simulated network throttle --
 
 TEST(SimulatedNetwork, ParsesMbpsEnvironmentValues) {
-  EXPECT_EQ(runtime::parse_sim_net_mbps(nullptr), 0.0);
-  EXPECT_EQ(runtime::parse_sim_net_mbps("0"), 0.0);
-  EXPECT_EQ(runtime::parse_sim_net_mbps("-5"), 0.0);
-  EXPECT_EQ(runtime::parse_sim_net_mbps("not a number"), 0.0);
-  EXPECT_DOUBLE_EQ(runtime::parse_sim_net_mbps("90"), 90.0 * 1024.0 * 1024.0);
-  EXPECT_DOUBLE_EQ(runtime::parse_sim_net_mbps("0.5"), 0.5 * 1024.0 * 1024.0);
+  const auto bytes_per_sec = [](const char* mbps) {
+    return runtime::RunConfig::from_vars({{"PGCH_SIM_NET_MBPS", mbps}})
+        .sim_net_bytes_per_sec();
+  };
+  EXPECT_EQ(runtime::RunConfig::from_vars({}).sim_net_bytes_per_sec(), 0.0);
+  EXPECT_EQ(bytes_per_sec("0"), 0.0);
+  EXPECT_DOUBLE_EQ(bytes_per_sec("90"), 90.0 * 1024.0 * 1024.0);
+  EXPECT_DOUBLE_EQ(bytes_per_sec("0.5"), 0.5 * 1024.0 * 1024.0);
+  // Negative and unparsable values are errors, not a silent "off".
+  EXPECT_THROW(bytes_per_sec("-5"), std::invalid_argument);
+  EXPECT_THROW(bytes_per_sec("not a number"), std::invalid_argument);
 }
 
 TEST(SimulatedNetwork, ExchangeBlocksForBottleneckTransitTime) {
   constexpr int kW = 2;
-  InProcessTransport transport(kW);
   // 10 MB/s link; 2 MB crossing it must take at least 0.2 s.
-  transport.set_simulated_bandwidth(10.0 * 1024.0 * 1024.0);
+  InProcessTransport transport(kW, 10.0 * 1024.0 * 1024.0);
   Exchange ex(transport);
   constexpr std::size_t kPayload = 2u * 1024u * 1024u;
   const std::vector<std::uint8_t> blob(kPayload, 0xAB);
@@ -76,8 +80,7 @@ TEST(SimulatedNetwork, ExchangeBlocksForBottleneckTransitTime) {
 
 TEST(SimulatedNetwork, RankLocalTrafficIsFree) {
   constexpr int kW = 2;
-  InProcessTransport transport(kW);
-  transport.set_simulated_bandwidth(10.0 * 1024.0 * 1024.0);
+  InProcessTransport transport(kW, 10.0 * 1024.0 * 1024.0);
   Exchange ex(transport);
   constexpr std::size_t kPayload = 2u * 1024u * 1024u;
   const std::vector<std::uint8_t> blob(kPayload, 0xCD);
@@ -465,8 +468,8 @@ TEST(LocalizedView, ServesOwnSliceAndRefusesOthers) {
     }
   }
   // ...but another rank's adjacency, and the shared CSR, are gone.
-  EXPECT_THROW(local.out(0, 0), std::logic_error);
-  EXPECT_THROW(local.csr(), std::logic_error);
+  EXPECT_THROW((void)local.out(0, 0), std::logic_error);
+  EXPECT_THROW((void)local.csr(), std::logic_error);
   EXPECT_THROW(local.localized(2), std::logic_error);
   // Re-localizing to the same rank is a no-op copy.
   EXPECT_EQ(local.localized(1).local_rank(), 1);

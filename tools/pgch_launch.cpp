@@ -38,14 +38,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include "runtime/run_config.hpp"
 
 namespace {
 
@@ -118,47 +121,69 @@ Options parse(int argc, char** argv) {
   if (opts.command.empty()) usage(argv[0], "no command after --");
   if (opts.world <= 0) usage(argv[0], "-n must be >= 1");
   if (opts.max_restarts < 0) usage(argv[0], "--max-restarts must be >= 0");
-  if (opts.transport != "tcp" && opts.transport != "inprocess") {
-    usage(argv[0], "--transport must be tcp or inprocess");
-  }
-  if (!opts.partition.empty() && opts.partition != "range" &&
-      opts.partition != "degree" && opts.partition != "hash") {
-    usage(argv[0], "--partition must be range, degree or hash");
-  }
   return opts;
 }
 
-/// The env assignments rank `rank` runs under, as a printable prefix.
-std::string env_prefix(const Options& opts, int rank) {
-  std::string s = "PGCH_TRANSPORT=" + opts.transport +
-                  " PGCH_WORLD=" + std::to_string(opts.world);
+using EnvVars = std::vector<std::pair<std::string, std::string>>;
+
+/// The PGCH_* assignments rank `rank` runs under.
+EnvVars rank_env(const Options& opts, int rank) {
+  EnvVars env = {{"PGCH_TRANSPORT", opts.transport},
+                 {"PGCH_WORLD", std::to_string(opts.world)}};
   if (opts.transport == "tcp") {
-    s += " PGCH_RANK=" + std::to_string(rank);
-    s += " PGCH_PORT_BASE=" + std::to_string(opts.port_base);
-    if (!opts.hosts.empty()) s += " PGCH_HOSTS=" + opts.hosts;
+    env.emplace_back("PGCH_RANK", std::to_string(rank));
+    env.emplace_back("PGCH_PORT_BASE", std::to_string(opts.port_base));
+    if (!opts.hosts.empty()) env.emplace_back("PGCH_HOSTS", opts.hosts);
   }
   // Every rank must build the identical partition, so the selection rides
   // the launch environment like the transport does.
-  if (!opts.partition.empty()) s += " PGCH_PARTITION=" + opts.partition;
+  if (!opts.partition.empty()) {
+    env.emplace_back("PGCH_PARTITION", opts.partition);
+  }
   // Co-located ranks mapping the same v3 snapshot share one page-cache
   // copy of it — the zero-copy loader is what makes -n 8 on one host not
   // hold 8 heap copies of the graph.
-  if (opts.mmap) s += " PGCH_MMAP=1";
+  if (opts.mmap) env.emplace_back("PGCH_MMAP", "1");
   if (!opts.checkpoint_dir.empty()) {
-    s += " PGCH_CHECKPOINT_DIR=" + opts.checkpoint_dir;
+    env.emplace_back("PGCH_CHECKPOINT_DIR", opts.checkpoint_dir);
   }
   if (opts.checkpoint_every > 0) {
-    s += " PGCH_CHECKPOINT_EVERY=" + std::to_string(opts.checkpoint_every);
+    env.emplace_back("PGCH_CHECKPOINT_EVERY",
+                     std::to_string(opts.checkpoint_every));
   }
   if (opts.max_restarts > 0) {
-    s += " PGCH_RECOVERY_ATTEMPTS=" + std::to_string(opts.max_restarts);
+    env.emplace_back("PGCH_RECOVERY_ATTEMPTS",
+                     std::to_string(opts.max_restarts));
   }
-  return s;
+  return env;
+}
+
+/// Run the ranks' RunConfig parse up front: an unknown or malformed
+/// PGCH_* variable in the inherited environment, or a bad option value,
+/// fails here with the variable named instead of in every rank.
+void validate_env(const char* argv0, const Options& opts) {
+  std::map<std::string, std::string> vars;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string entry(*e);
+    const std::size_t eq = entry.find('=');
+    if (eq != std::string::npos) {
+      vars[entry.substr(0, eq)] = entry.substr(eq + 1);
+    }
+  }
+  for (const auto& [name, value] : rank_env(opts, 0)) vars[name] = value;
+  try {
+    (void)pregel::runtime::RunConfig::from_vars(vars);
+  } catch (const std::invalid_argument& e) {
+    usage(argv0, e.what());
+  }
 }
 
 void print_commands(const Options& opts, int ranks) {
   for (int r = 0; r < ranks; ++r) {
-    std::string line = env_prefix(opts, r);
+    std::string line;
+    for (const auto& [name, value] : rank_env(opts, r)) {
+      line += (line.empty() ? "" : " ") + name + "=" + value;
+    }
     for (const char* part : opts.command) {
       line += ' ';
       line += part;
@@ -166,17 +191,6 @@ void print_commands(const Options& opts, int ranks) {
     std::fprintf(stderr, "[pgch_launch] rank %d: %s\n", r, line.c_str());
   }
 }
-
-}  // namespace
-
-#ifdef _WIN32
-
-int main() {
-  std::fprintf(stderr, "pgch_launch: process spawning requires POSIX\n");
-  return 1;
-}
-
-#else
 
 /// The PGCH_RESUME value for a respawned rank: the committed epoch from
 /// the checkpoint dir's LATEST marker when we know the dir, else "auto"
@@ -204,27 +218,8 @@ pid_t spawn_rank(const Options& opts, int r, bool resume) {
     // Own process group, so teardown reaches the rank's descendants
     // too (e.g. a wrapper shell's children).
     setpgid(0, 0);
-    setenv("PGCH_TRANSPORT", opts.transport.c_str(), 1);
-    setenv("PGCH_WORLD", std::to_string(opts.world).c_str(), 1);
-    if (opts.transport == "tcp") {
-      setenv("PGCH_RANK", std::to_string(r).c_str(), 1);
-      setenv("PGCH_PORT_BASE", std::to_string(opts.port_base).c_str(), 1);
-      if (!opts.hosts.empty()) setenv("PGCH_HOSTS", opts.hosts.c_str(), 1);
-    }
-    if (!opts.partition.empty()) {
-      setenv("PGCH_PARTITION", opts.partition.c_str(), 1);
-    }
-    if (opts.mmap) setenv("PGCH_MMAP", "1", 1);
-    if (!opts.checkpoint_dir.empty()) {
-      setenv("PGCH_CHECKPOINT_DIR", opts.checkpoint_dir.c_str(), 1);
-    }
-    if (opts.checkpoint_every > 0) {
-      setenv("PGCH_CHECKPOINT_EVERY",
-             std::to_string(opts.checkpoint_every).c_str(), 1);
-    }
-    if (opts.max_restarts > 0) {
-      setenv("PGCH_RECOVERY_ATTEMPTS",
-             std::to_string(opts.max_restarts).c_str(), 1);
+    for (const auto& [name, value] : rank_env(opts, r)) {
+      setenv(name.c_str(), value.c_str(), 1);
     }
     if (resume) {
       setenv("PGCH_RESUME", resume_value(opts).c_str(), 1);
@@ -241,8 +236,11 @@ pid_t spawn_rank(const Options& opts, int r, bool resume) {
   return pid;
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
   const Options opts = parse(argc, argv);
+  validate_env(argv[0], opts);
   // In-process mode needs no peers: one child, worker threads inside it.
   const int ranks = opts.transport == "tcp" ? opts.world : 1;
   print_commands(opts, ranks);
@@ -323,5 +321,3 @@ int main(int argc, char** argv) {
   }
   return exit_code;
 }
-
-#endif
