@@ -5,6 +5,7 @@
 //  * the scatter handshake amortization (identifier shipping is a one-time
 //    cost; steady-state supersteps transmit bare values),
 //  * request deduplication under extreme skew (star graph),
+//  * the pull gather's edges/s with a stock vs a custom combiner,
 //  * the locality partitioner's edge-cut vs hash placement.
 
 #include <benchmark/benchmark.h>
@@ -360,6 +361,81 @@ BENCHMARK(Frontier_SparseSuperstep_WordScan)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------- layer: pull gather (DESIGN.md §8) ----
+
+/// PageRank with every superstep forced to pull on the WebUK stand-in:
+/// the gather runs in deliver, so a row's time is the rank-max deliver
+/// seconds and its items are gathered in-edges (items/s = edges/s). The
+/// CustomSum row folds the same sum through a custom lambda — one
+/// std::function call per edge, the fallback's cost — next to the stock
+/// c_sum the typed gather inlines.
+template <bool kCustom>
+class PullGatherPageRank : public core::Worker<algo::PRVertex> {
+ public:
+  static constexpr int kIterations = 10;
+
+  void compute(algo::PRVertex& v) override {
+    const double n = static_cast<double>(get_vnum());
+    v.value().rank =
+        step_num() == 1 ? 1.0 / n : 0.15 / n + 0.85 * msg_.get_message();
+    if (step_num() > kIterations) {
+      v.vote_to_halt();
+      return;
+    }
+    const auto edges = v.edges();
+    if (!edges.empty()) {
+      msg_.publish(v.value().rank / static_cast<double>(edges.size()));
+    }
+  }
+
+ private:
+  static core::Combiner<double> combiner() {
+    if constexpr (kCustom) {
+      return core::make_combiner(
+          [](const double& a, const double& b) { return a + b; }, 0.0);
+    } else {
+      return core::make_combiner(core::c_sum, 0.0);
+    }
+  }
+
+  core::CombinedMessage<algo::PRVertex, double> msg_{
+      this, combiner(),
+      [](const double& share, graph::Weight) { return share; }, "pr"};
+};
+
+PGCH_CACHED_DG(webuk, bench::hash_dg(bench::webuk_graph()))
+
+template <bool kCustom>
+void layer_pull_gather(benchmark::State& state, const char* name) {
+  runtime::RunStats last;
+  for (auto _ : state) {
+    last = algo::run_only<PullGatherPageRank<kCustom>>(
+        webuk(), [](PullGatherPageRank<kCustom>& w) {
+          w.set_direction_mode(core::DirectionMode::kPull);
+        });
+    state.SetIterationTime(last.deliver_seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(state.iterations()) * last.supersteps *
+      webuk().num_edges()));
+  state.counters["supersteps"] = static_cast<double>(last.supersteps);
+  bench::record_json(name, last);
+}
+void Layer_PullGather_StockSum(benchmark::State& s) {
+  layer_pull_gather<false>(s, __func__);
+}
+void Layer_PullGather_CustomSum(benchmark::State& s) {
+  layer_pull_gather<true>(s, __func__);
+}
+BENCHMARK(Layer_PullGather_StockSum)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
+    ->Iterations(3);
+BENCHMARK(Layer_PullGather_CustomSum)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
+    ->Iterations(3);
 
 // ------------------------------------------------- partitioner edge cut ---
 

@@ -162,7 +162,8 @@ class BlockWorker : public core::EngineBase,
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& batch = staged_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(batch.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(batch.size(), "BlockWorker wire count"));
       if (!batch.empty()) {
         out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
         batch.clear();

@@ -44,7 +44,9 @@ class Aggregator : public Channel {
   /// Fold per-chunk contributions in chunk order — the exact sequential
   /// fold sequence, so float aggregates stay bitwise identical.
   void end_compute() override {
-    par_.replay([this](const ValT& v) { partial_ = combiner_(partial_, v); });
+    with_combine_op(combiner_, [&](const auto& combine) {
+      par_.replay([&](const ValT& v) { partial_ = combine(partial_, v); });
+    });
   }
 
   void serialize() override {
@@ -57,11 +59,13 @@ class Aggregator : public Channel {
 
   void deserialize() override {
     const int num_workers = w().num_workers();
-    ValT acc = combiner_.identity;
-    for (int from = 0; from < num_workers; ++from) {
-      acc = combiner_(acc, w().inbox(from).read<ValT>());
-    }
-    result_ = acc;
+    with_combine_op(combiner_, [&](const auto& combine) {
+      ValT acc = combiner_.identity;
+      for (int from = 0; from < num_workers; ++from) {
+        acc = combine(acc, w().inbox(from).read<ValT>());
+      }
+      result_ = acc;
+    });
   }
 
   // Cross-superstep state is the published result; the staging partial

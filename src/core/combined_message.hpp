@@ -59,6 +59,14 @@
 // gather replays the push fold order exactly — per source rank a sub-fold
 // in (src lidx, edge position) order, sub-results folded in rank order —
 // so results are bitwise identical to push even for float-sum combiners.
+//
+// Typed folds (DESIGN.md section 8): every per-item fold — stage-time
+// combining, the serialize merge, delivery and the pull gather — runs
+// inside with_combine_op(), so the stock combiners inline into the loop.
+// The pull-capable constructor is a template on the edge transform's type
+// and keeps the gather and push-expansion kernels instantiated for it, so
+// a gather range or one vertex's expansion costs one indirect call and no
+// edge pays one.
 
 #include <algorithm>
 #include <cstdint>
@@ -66,6 +74,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -82,7 +91,9 @@ class CombinedMessage : public Channel {
  public:
   /// How a published value turns into the contribution one out-edge
   /// carries: f(value, edge weight). PageRank passes the identity (every
-  /// out-edge carries the same share), SSSP passes dist + w.
+  /// out-edge carries the same share), SSSP passes dist + w. Any callable
+  /// of this shape works; a lambda inlines into the gather, an EdgeFn is
+  /// called through std::function.
   using EdgeFn = std::function<ValT(const ValT&, graph::Weight)>;
 
   CombinedMessage(Worker<VertexT>* w, Combiner<ValT> combiner,
@@ -103,11 +114,22 @@ class CombinedMessage : public Channel {
   /// pattern explicit (one value per vertex, expanded per out-edge), which
   /// is what lets the engine run dense supersteps in gather mode.
   /// Algorithms using this form call publish() instead of the per-edge
-  /// send_message() loop.
-  CombinedMessage(Worker<VertexT>* w, Combiner<ValT> combiner, EdgeFn f,
+  /// send_message() loop. A null function pointer or an empty EdgeFn
+  /// leaves the channel push-only, like the plain form.
+  template <typename F>
+    requires std::is_invocable_r_v<ValT, const F&, const ValT&,
+                                   graph::Weight>
+  CombinedMessage(Worker<VertexT>* w, Combiner<ValT> combiner, F f,
                   std::string name = "combined")
       : CombinedMessage(w, std::move(combiner), std::move(name)) {
-    edge_fn_ = std::move(f);
+    if constexpr (std::is_pointer_v<F> || std::is_same_v<F, EdgeFn>) {
+      if (!f) return;
+    }
+    edge_fn_ = detail::erase_fn(std::move(f));
+    gather_ = [](CombinedMessage& self, std::uint32_t lo, std::uint32_t hi,
+                 int slot) { self.gather_range<F>(lo, hi, slot); };
+    expand_ = [](CombinedMessage& self, std::uint32_t lidx,
+                 const ValT& value) { self.expand<F>(lidx, value); };
   }
 
   /// Send m to dst; values for the same destination are combined. Safe
@@ -122,29 +144,7 @@ class CombinedMessage : public Channel {
           "CombinedMessage::send_message called during a pull superstep — "
           "pull-capable channels must stage per-vertex values via publish()");
     }
-    Shard& shard =
-        shards_[static_cast<std::size_t>(detail::t_compute_chunk)];
-    const auto to = static_cast<std::size_t>(w().owner_of(dst));
-    const std::uint32_t lidx = w().local_of(dst);
-    if (combiner_.exact) {
-      // Stage-time combining into the chunk's dense per-destination
-      // partial (lazily sized to the receiving rank's slice).
-      Partial& p = shard.partial[to];
-      if (p.vals.empty()) {
-        const std::uint32_t n = peer_local_count(static_cast<int>(to));
-        p.vals.assign(n, combiner_.identity);
-        p.has.assign(n, 0);
-      }
-      if (p.has[lidx]) {
-        p.vals[lidx] = combiner_(p.vals[lidx], m);
-      } else {
-        p.vals[lidx] = m;
-        p.has[lidx] = 1;
-        p.touched.push_back(lidx);
-      }
-    } else {
-      shard.log[to].push_back(Wire{lidx, m});
-    }
+    stage(current_shard(), dst, m, combiner_);
   }
 
   /// Publish the current vertex's value for this superstep (pull-capable
@@ -165,13 +165,11 @@ class CombinedMessage : public Channel {
       pub_epoch_[lidx] = cur_epoch_;
       return;
     }
-    for (const graph::Edge e : worker_->dgraph().out(w().rank(), lidx)) {
-      send_message(e.dst, edge_fn_(value, e.weight));
-    }
+    expand_(*this, lidx, value);
   }
 
   [[nodiscard]] bool pull_capable() const override {
-    return static_cast<bool>(edge_fn_);
+    return gather_ != nullptr;
   }
 
   /// Engine announcement of this superstep's collective direction. The
@@ -208,13 +206,12 @@ class CombinedMessage : public Channel {
   }
 
   void serialize() override {
-    if (direction_ == Direction::kPull) {
-      reset_receive_slots();
-      emit_pull_ranks(0, w().num_workers());
-      return;
-    }
     reset_receive_slots();
-    emit_ranks(0, w().num_workers());
+    if (direction_ == Direction::kPull) {
+      emit_pull_ranks(0, w().num_workers());
+    } else {
+      emit_ranks(0, w().num_workers());
+    }
   }
 
   /// Fan the per-destination-rank merge + emit over the comm pool: each
@@ -258,22 +255,17 @@ class CombinedMessage : public Channel {
     }
   }
 
+  /// Sequential delivery: the range-partitioned delivery below over the
+  /// whole local vertex range, as one slot.
   void deserialize() override {
     if (direction_ == Direction::kPull) {
       absorb_pull_payloads();
-      gather_range(0, num_local_limit(), 0);
+      gather_(*this, 0, num_local_limit(), 0);
       ++cur_epoch_;
       return;
     }
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto wire = in.read<Wire>();
-        apply(wire, 0);
-      }
-    }
+    record_spans();
+    apply_spans(0, num_local_limit(), 0);
   }
 
   /// Range-partitioned delivery: record each peer payload's raw span,
@@ -288,22 +280,13 @@ class CombinedMessage : public Channel {
       w().run_comm_partitioned(
           pull_in_edges_, num_local_limit(), &recv_touched_,
           [this](std::uint32_t lo, std::uint32_t hi, int slot) {
-            gather_range(lo, hi, slot);
+            gather_(*this, lo, hi, slot);
           });
       ++cur_epoch_;
       return;
     }
-    const int num_workers = w().num_workers();
-    std::uint64_t total = 0;
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
-      total += n;
-    }
     w().run_comm_partitioned(
-        total, num_local_limit(), &recv_touched_,
+        record_spans(), num_local_limit(), &recv_touched_,
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
           apply_spans(lo, hi, slot);
         });
@@ -315,7 +298,8 @@ class CombinedMessage : public Channel {
     ValT value;
   };
 
-  /// One slot's pending combined values for one destination rank.
+  /// Pending combined values keyed by a local index: one slot's staging
+  /// for one destination rank, or the serialize merge for one rank.
   struct Partial {
     std::vector<ValT> vals;
     std::vector<std::uint8_t> has;
@@ -332,6 +316,48 @@ class CombinedMessage : public Channel {
     const auto workers = static_cast<std::size_t>(w().num_workers());
     s.partial.resize(workers);
     s.log.resize(workers);
+  }
+
+  [[nodiscard]] Shard& current_shard() {
+    return shards_[static_cast<std::size_t>(detail::t_compute_chunk)];
+  }
+
+  /// Stage one message: exact combiners combine it into the chunk's dense
+  /// per-destination partial (lazily sized to the receiving rank's
+  /// slice), inexact ones log it raw.
+  template <typename Combine>
+  void stage(Shard& shard, KeyT dst, const ValT& m, const Combine& combine) {
+    const auto to = static_cast<std::size_t>(w().owner_of(dst));
+    const std::uint32_t lidx = w().local_of(dst);
+    if (combiner_.exact) {
+      Partial& p = shard.partial[to];
+      if (p.vals.empty()) {
+        const std::uint32_t n = peer_local_count(static_cast<int>(to));
+        p.vals.assign(n, combiner_.identity);
+        p.has.assign(n, 0);
+      }
+      detail::fold_slot(p.vals, p.has, p.touched, lidx, m, combine);
+    } else {
+      shard.log[to].push_back(Wire{lidx, m});
+    }
+  }
+
+  /// Push expansion of one published value, typed on the edge transform:
+  /// send_message(e.dst, f(value, e.weight)) per out-edge of lidx.
+  template <typename F>
+  void expand(std::uint32_t lidx, const ValT& value) {
+    const F& f = edge_fn<F>();
+    Shard& shard = current_shard();
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (const graph::Edge e : worker_->dgraph().out(w().rank(), lidx)) {
+        stage(shard, e.dst, f(value, e.weight), combine);
+      }
+    });
+  }
+
+  template <typename F>
+  [[nodiscard]] const F& edge_fn() const {
+    return *static_cast<const F*>(edge_fn_.get());
   }
 
   [[nodiscard]] std::uint32_t peer_local_count(int rank) const {
@@ -389,6 +415,20 @@ class CombinedMessage : public Channel {
     }
   }
 
+  /// Write one combined wire pair per touched index of p, in first-touch
+  /// order, and reset p for reuse.
+  void emit_partial(Partial& p, int to) {
+    runtime::Buffer& out = w().outbox(to);
+    out.write<std::uint32_t>(
+        runtime::checked_u32(p.touched.size(), "CombinedMessage wire count"));
+    for (const std::uint32_t lidx : p.touched) {
+      out.write(Wire{lidx, p.vals[lidx]});
+      p.vals[lidx] = combiner_.identity;
+      p.has[lidx] = 0;
+    }
+    p.touched.clear();
+  }
+
   /// Merge every shard's staging for destination ranks [begin, end) and
   /// emit one combined wire pair per unique destination. Walking shards
   /// in chunk order makes both the fold sequence (raw logs: message by
@@ -396,91 +436,76 @@ class CombinedMessage : public Channel {
   /// so bytes and float bits are independent of the thread count and of
   /// which slot executed each chunk.
   void emit_ranks(int begin, int end) {
-    for (int to = begin; to < end; ++to) {
-      const auto peer = static_cast<std::size_t>(to);
-      if (combiner_.exact && shards_.size() == 1) {
-        // Single-shard exact staging: the chunk partial already holds the
-        // final combined values in first-touch order — emit it directly.
-        Partial& p = shards_[0].partial[peer];
-        runtime::Buffer& direct = w().outbox(to);
-        direct.write<std::uint32_t>(
-            static_cast<std::uint32_t>(p.touched.size()));
-        for (const std::uint32_t lidx : p.touched) {
-          direct.write(Wire{lidx, p.vals[lidx]});
-          p.vals[lidx] = combiner_.identity;
-          p.has[lidx] = 0;
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (int to = begin; to < end; ++to) {
+        const auto peer = static_cast<std::size_t>(to);
+        if (combiner_.exact && shards_.size() == 1) {
+          // Single-shard exact staging: the chunk partial already holds
+          // the final combined values in first-touch order — emit it
+          // directly.
+          emit_partial(shards_[0].partial[peer], to);
+          continue;
         }
-        p.touched.clear();
-        continue;
-      }
-      Partial& m = merge_[peer];
-      if (m.vals.empty()) {
-        const std::uint32_t n = peer_local_count(to);
-        m.vals.assign(n, combiner_.identity);
-        m.has.assign(n, 0);
-      }
-      for (Shard& shard : shards_) {
-        Partial& p = shard.partial[peer];
-        for (const std::uint32_t lidx : p.touched) {
-          fold_into(m, lidx, p.vals[lidx]);
-          p.vals[lidx] = combiner_.identity;
-          p.has[lidx] = 0;
+        Partial& m = merge_[peer];
+        if (m.vals.empty()) {
+          const std::uint32_t n = peer_local_count(to);
+          m.vals.assign(n, combiner_.identity);
+          m.has.assign(n, 0);
         }
-        p.touched.clear();
-        auto& log = shard.log[peer];
-        for (const Wire& wire : log) fold_into(m, wire.lidx, wire.value);
-        log.clear();
+        for (Shard& shard : shards_) {
+          Partial& p = shard.partial[peer];
+          for (const std::uint32_t lidx : p.touched) {
+            detail::fold_slot(m.vals, m.has, m.touched, lidx, p.vals[lidx],
+                              combine);
+            p.vals[lidx] = combiner_.identity;
+            p.has[lidx] = 0;
+          }
+          p.touched.clear();
+          auto& log = shard.log[peer];
+          for (const Wire& wire : log) {
+            detail::fold_slot(m.vals, m.has, m.touched, wire.lidx,
+                              wire.value, combine);
+          }
+          log.clear();
+        }
+        emit_partial(m, to);
       }
-      runtime::Buffer& out = w().outbox(to);
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(m.touched.size()));
-      for (const std::uint32_t lidx : m.touched) {
-        out.write(Wire{lidx, m.vals[lidx]});
-        m.vals[lidx] = combiner_.identity;
-        m.has[lidx] = 0;
-      }
-      m.touched.clear();
-    }
+    });
   }
 
-  void fold_into(Partial& m, std::uint32_t lidx, const ValT& v) {
-    if (m.has[lidx]) {
-      m.vals[lidx] = combiner_(m.vals[lidx], v);
-    } else {
-      m.vals[lidx] = v;
-      m.has[lidx] = 1;
-      m.touched.push_back(lidx);
+  /// Record every peer payload's raw wire span (push rounds); returns the
+  /// total wire count.
+  std::uint64_t record_spans() {
+    const int num_workers = w().num_workers();
+    std::uint64_t total = 0;
+    for (int from = 0; from < num_workers; ++from) {
+      runtime::Buffer& in = w().inbox(from);
+      const auto n = in.read<std::uint32_t>();
+      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
+      in.skip(std::size_t{n} * sizeof(Wire));
+      total += n;
     }
-  }
-
-  /// Receiver-side apply of one wire pair into the delivery slot's state.
-  void apply(const Wire& wire, int delivery_slot) {
-    if (has_[wire.lidx]) {
-      slot_[wire.lidx] = combiner_(slot_[wire.lidx], wire.value);
-    } else {
-      slot_[wire.lidx] = wire.value;
-      has_[wire.lidx] = 1;
-      recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(
-          wire.lidx);
-    }
-    worker_->activate_local(wire.lidx);  // atomic frontier word-OR
+    return total;
   }
 
   /// Apply all recorded peer spans restricted to lidx in [lo, hi) — peer
   /// order, then in-payload order, i.e. the sequential per-vertex order.
   void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-        Wire wire;
-        std::memcpy(&wire, p, sizeof(Wire));
-        if (wire.lidx < lo || wire.lidx >= hi) continue;
-        apply(wire, delivery_slot);
+    auto& touched = recv_touched_[static_cast<std::size_t>(delivery_slot)];
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (const auto& [ptr, n] : spans_) {
+        const std::byte* p = ptr;
+        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
+          Wire wire;
+          std::memcpy(&wire, p, sizeof(Wire));
+          if (wire.lidx < lo || wire.lidx >= hi) continue;
+          detail::fold_slot(slot_, has_, touched, wire.lidx, wire.value,
+                            combine);
+          worker_->activate_local(wire.lidx);  // atomic frontier word-OR
+        }
       }
-    }
+    });
   }
-
   // ---- pull protocol (DESIGN.md section 9) --------------------------------
 
   /// One out-edge of this rank whose destination a peer owns, in the
@@ -657,41 +682,44 @@ class CombinedMessage : public Channel {
   /// per sender rank first and folds the per-rank wires in peer order at
   /// delivery — so even float-sum results are bitwise identical.
   /// Destinations are independent, so the parallel fan-out changes
-  /// nothing.
+  /// nothing. Typed on the edge transform and, through with_combine_op,
+  /// on the combiner: both inline into the edge loop.
+  template <typename F>
   void gather_range(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
+    const F& f = edge_fn<F>();
     const int num_workers = w().num_workers();
     const int me = w().rank();
-    for (std::uint32_t d = lo; d < hi; ++d) {
-      ValT acc{};
-      bool any = false;
-      for (int r = 0; r < num_workers; ++r) {
-        const auto slot = static_cast<std::size_t>(r);
-        ValT sub{};
-        bool got = false;
-        for (const graph::Edge e : gather_index_[slot]->out(d)) {
-          const std::uint32_t src = e.dst;  // transposed: dst = source lidx
-          const ValT* v;
-          if (r == me) {
-            if (pub_epoch_[src] != cur_epoch_) continue;
-            v = &published_[src];
-          } else {
-            if (peer_epoch_[slot][src] != cur_epoch_) continue;
-            v = &peer_vals_[slot][src];
+    auto& touched = recv_touched_[static_cast<std::size_t>(delivery_slot)];
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (std::uint32_t d = lo; d < hi; ++d) {
+        ValT acc{};
+        bool any = false;
+        for (int r = 0; r < num_workers; ++r) {
+          const auto slot = static_cast<std::size_t>(r);
+          const ValT* vals =
+              r == me ? published_.data() : peer_vals_[slot].data();
+          const std::uint32_t* epochs =
+              r == me ? pub_epoch_.data() : peer_epoch_[slot].data();
+          ValT sub{};
+          bool got = false;
+          for (const graph::Edge e : gather_index_[slot]->out(d)) {
+            const std::uint32_t src = e.dst;  // transposed: dst = source
+            if (epochs[src] != cur_epoch_) continue;
+            const ValT contrib = f(vals[src], e.weight);
+            sub = got ? combine(sub, contrib) : contrib;
+            got = true;
           }
-          const ValT contrib = edge_fn_(*v, e.weight);
-          sub = got ? combiner_(sub, contrib) : contrib;
-          got = true;
+          if (!got) continue;
+          acc = any ? combine(acc, sub) : sub;
+          any = true;
         }
-        if (!got) continue;
-        acc = any ? combiner_(acc, sub) : sub;
-        any = true;
+        if (!any) continue;
+        slot_[d] = acc;
+        has_[d] = 1;
+        touched.push_back(d);
+        worker_->activate_local(d);  // atomic frontier word-OR
       }
-      if (!any) continue;
-      slot_[d] = acc;
-      has_[d] = 1;
-      recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(d);
-      worker_->activate_local(d);  // atomic frontier word-OR
-    }
+    });
   }
 
   Worker<VertexT>* worker_;
@@ -710,10 +738,15 @@ class CombinedMessage : public Channel {
   std::vector<std::vector<std::uint32_t>> recv_touched_;
   std::vector<std::pair<const std::byte*, std::uint32_t>> spans_;
 
-  // Pull protocol state (edge_fn_ set by the pull-capable constructor;
-  // the rest lazily built on the first pull superstep and kept for the
-  // run — direction flips back and forth reuse it).
-  EdgeFn edge_fn_;
+  // Pull protocol state. The pull-capable constructor sets the edge
+  // transform (type-erased storage; only the kernels instantiated for
+  // its type read it) and those kernels; the rest is lazily built on the
+  // first pull superstep and kept for the run — direction flips back
+  // and forth reuse it.
+  detail::ErasedFn edge_fn_{nullptr, nullptr};
+  void (*gather_)(CombinedMessage&, std::uint32_t, std::uint32_t,
+                  int) = nullptr;
+  void (*expand_)(CombinedMessage&, std::uint32_t, const ValT&) = nullptr;
   Direction direction_ = Direction::kPush;
   bool pull_ready_ = false;
   bool handshake_sent_ = false;       ///< structure shipped to all peers

@@ -120,7 +120,8 @@ class DirectMessage : public Channel {
   // Cross-superstep state is the delivered-but-unread inboxes; staging
   // shards are empty at the superstep boundary where checkpoints run.
   void save_state(runtime::Buffer& out) override {
-    out.write<std::uint32_t>(static_cast<std::uint32_t>(incoming_.size()));
+    out.write<std::uint32_t>(
+        runtime::checked_u32(incoming_.size(), "DirectMessage inbox count"));
     for (const auto& msgs : incoming_) out.write_vector(msgs);
   }
 

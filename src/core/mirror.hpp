@@ -126,36 +126,11 @@ class MirrorScatter : public Channel {
   /// (DESIGN.md section 8). Bytes are identical to serialize().
   void serialize_parallel() override { serialize_impl(/*parallel=*/true); }
 
+  /// Sequential delivery: the range-partitioned delivery below over the
+  /// whole local vertex range, as one slot.
   void deserialize() override {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) continue;
-      const bool mixed = tag == kTagHandshakeMixed || tag == kTagValuesMixed;
-      const auto n = in.read<std::uint32_t>();
-      const std::uint32_t nd = mixed ? in.read<std::uint32_t>() : 0;
-      auto& table = mirrors_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake || tag == kTagHandshakeMixed) {
-        table.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          table[i] = in.read_vector<std::uint32_t>();
-        }
-      }
-      // Bare values in the agreed source order: scatter positionally.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto val = in.read<ValT>();
-        for (const std::uint32_t lidx : table[i]) {
-          apply(lidx, val, 0);
-        }
-      }
-      // Threshold mode: the below-threshold senders' explicit pairs.
-      for (std::uint32_t j = 0; j < nd; ++j) {
-        const auto lidx = in.read<std::uint32_t>();
-        const auto val = in.read<ValT>();
-        apply(lidx, val, 0);
-      }
-    }
+    record_spans();
+    apply_spans(0, worker_->num_local(), 0);
   }
 
   /// Range-partitioned delivery: mirror tables are installed sequentially
@@ -165,35 +140,8 @@ class MirrorScatter : public Channel {
   /// Per-vertex fold order stays (peer order, then mirrored source order,
   /// then direct pair order) — the sequential one.
   void deliver_parallel() override {
-    const int num_workers = w().num_workers();
-    std::uint64_t total_targets = 0;
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) {
-        spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
-        direct_spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
-        continue;
-      }
-      const bool mixed = tag == kTagHandshakeMixed || tag == kTagValuesMixed;
-      const auto n = in.read<std::uint32_t>();
-      const std::uint32_t nd = mixed ? in.read<std::uint32_t>() : 0;
-      auto& table = mirrors_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake || tag == kTagHandshakeMixed) {
-        table.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          table[i] = in.read_vector<std::uint32_t>();
-        }
-      }
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(ValT));
-      direct_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), nd};
-      in.skip(std::size_t{nd} * kDirectWireBytes);
-      for (std::uint32_t i = 0; i < n; ++i) total_targets += table[i].size();
-      total_targets += nd;
-    }
     w().run_comm_partitioned(
-        total_targets, worker_->num_local(), &recv_touched_,
+        record_spans(), worker_->num_local(), &recv_touched_,
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
           apply_spans(lo, hi, slot);
         });
@@ -291,10 +239,11 @@ class MirrorScatter : public Channel {
       } else {
         out.write<std::uint8_t>(first ? kTagHandshake : kTagValues);
       }
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(to_peer.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(to_peer.size(), "MirrorScatter value count"));
       if (mixed) {
-        out.write<std::uint32_t>(
-            static_cast<std::uint32_t>(to_direct.size()));
+        out.write<std::uint32_t>(runtime::checked_u32(
+            to_direct.size(), "MirrorScatter direct pair count"));
       }
       if (first) {
         // Install the mirror tables: per sending vertex, the neighbor
@@ -341,42 +290,80 @@ class MirrorScatter : public Channel {
     }
   }
 
-  void apply(std::uint32_t lidx, const ValT& val, int delivery_slot) {
-    if (has_[lidx]) {
-      slot_[lidx] = combiner_(slot_[lidx], val);
-    } else {
-      slot_[lidx] = val;
-      has_[lidx] = 1;
-      recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(lidx);
-    }
-    worker_->activate_local(lidx);  // atomic frontier word-OR
-  }
-
-  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
+  /// Read every peer's header, install first-round mirror tables and
+  /// record the value and direct-pair spans; returns the total number of
+  /// target applications (the delivery work size).
+  std::uint64_t record_spans() {
     const int num_workers = w().num_workers();
+    std::uint64_t total_targets = 0;
     for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const auto& table = mirrors_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
-        ValT val;
-        std::memcpy(&val, p, sizeof(ValT));
-        for (const std::uint32_t lidx : table[i]) {
-          if (lidx < lo || lidx >= hi) continue;
-          apply(lidx, val, delivery_slot);
+      runtime::Buffer& in = w().inbox(from);
+      const auto tag = in.read<std::uint8_t>();
+      if (tag == kTagIdle) {
+        spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
+        direct_spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
+        continue;
+      }
+      const bool mixed = tag == kTagHandshakeMixed || tag == kTagValuesMixed;
+      const auto n = in.read<std::uint32_t>();
+      const std::uint32_t nd = mixed ? in.read<std::uint32_t>() : 0;
+      auto& table = mirrors_[static_cast<std::size_t>(from)];
+      if (tag == kTagHandshake || tag == kTagHandshakeMixed) {
+        table.resize(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          table[i] = in.read_vector<std::uint32_t>();
         }
       }
-      const auto& [dptr, nd] = direct_spans_[static_cast<std::size_t>(from)];
-      const std::byte* q = dptr;
-      for (std::uint32_t j = 0; j < nd; ++j, q += kDirectWireBytes) {
-        std::uint32_t lidx;
-        std::memcpy(&lidx, q, sizeof(std::uint32_t));
-        if (lidx < lo || lidx >= hi) continue;
-        ValT val;
-        std::memcpy(&val, q + sizeof(std::uint32_t), sizeof(ValT));
-        apply(lidx, val, delivery_slot);
+      if (table.size() != n) {
+        throw runtime::ProtocolError(
+            "MirrorScatter: value count does not match the mirror table");
       }
+      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
+      in.skip(std::size_t{n} * sizeof(ValT));
+      direct_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), nd};
+      in.skip(std::size_t{nd} * kDirectWireBytes);
+      for (std::uint32_t i = 0; i < n; ++i) total_targets += table[i].size();
+      total_targets += nd;
     }
+    return total_targets;
+  }
+
+  /// Fold the recorded spans into the receive slots, restricted to lidx
+  /// in [lo, hi): per peer the mirrored values scattered through the
+  /// table, then the direct pairs.
+  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
+    auto& touched = recv_touched_[static_cast<std::size_t>(delivery_slot)];
+    const int num_workers = w().num_workers();
+    with_combine_op(combiner_, [&](const auto& combine) {
+      const auto apply = [&](std::uint32_t lidx, const ValT& val) {
+        detail::fold_slot(slot_, has_, touched, lidx, val, combine);
+        worker_->activate_local(lidx);  // atomic frontier word-OR
+      };
+      for (int from = 0; from < num_workers; ++from) {
+        const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
+        const auto& table = mirrors_[static_cast<std::size_t>(from)];
+        const std::byte* p = ptr;
+        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
+          ValT val;
+          std::memcpy(&val, p, sizeof(ValT));
+          for (const std::uint32_t lidx : table[i]) {
+            if (lidx < lo || lidx >= hi) continue;
+            apply(lidx, val);
+          }
+        }
+        const auto& [dptr, nd] =
+            direct_spans_[static_cast<std::size_t>(from)];
+        const std::byte* q = dptr;
+        for (std::uint32_t j = 0; j < nd; ++j, q += kDirectWireBytes) {
+          std::uint32_t lidx;
+          std::memcpy(&lidx, q, sizeof(std::uint32_t));
+          if (lidx < lo || lidx >= hi) continue;
+          ValT val;
+          std::memcpy(&val, q + sizeof(std::uint32_t), sizeof(ValT));
+          apply(lidx, val);
+        }
+      }
+    });
   }
 
   Worker<VertexT>* worker_;

@@ -119,20 +119,22 @@ class Propagation : public Channel {
 
   void deserialize() override {
     const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto lidx = in.read<std::uint32_t>();
-        const auto val = in.read<ValT>();
-        const ValT nv = combiner_(vals_[lidx], val);
-        if (nv != vals_[lidx]) {
-          vals_[lidx] = nv;
-          push(lidx);
-          worker_->activate_local(lidx);
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (int from = 0; from < num_workers; ++from) {
+        runtime::Buffer& in = w().inbox(from);
+        const auto n = in.read<std::uint32_t>();
+        for (std::uint32_t i = 0; i < n; ++i) {
+          const auto lidx = in.read<std::uint32_t>();
+          const auto val = in.read<ValT>();
+          const ValT nv = combine(vals_[lidx], val);
+          if (nv != vals_[lidx]) {
+            vals_[lidx] = nv;
+            push(lidx);
+            worker_->activate_local(lidx);
+          }
         }
       }
-    }
+    });
   }
 
   bool again() override { return head_ < queue_.size(); }
@@ -157,29 +159,26 @@ class Propagation : public Channel {
   /// deep into a region and then redo the whole region when a better
   /// label arrives (exponential redundant work on skewed graphs).
   void drain() {
-    while (head_ < queue_.size()) {
-      const std::uint32_t u = queue_[head_++];
-      in_queue_[u] = 0;
-      const ValT uv = vals_[u];
-      for (const std::uint32_t t : local_adj_[u]) {
-        const ValT nv = combiner_(vals_[t], uv);
-        if (nv != vals_[t]) {
-          vals_[t] = nv;
-          push(t);
-          worker_->activate_local(t);  // atomic frontier word-OR
+    with_combine_op(combiner_, [&](const auto& combine) {
+      while (head_ < queue_.size()) {
+        const std::uint32_t u = queue_[head_++];
+        in_queue_[u] = 0;
+        const ValT uv = vals_[u];
+        for (const std::uint32_t t : local_adj_[u]) {
+          const ValT nv = combine(vals_[t], uv);
+          if (nv != vals_[t]) {
+            vals_[t] = nv;
+            push(t);
+            worker_->activate_local(t);  // atomic frontier word-OR
+          }
+        }
+        for (const RemoteEdge& e : remote_adj_[u]) {
+          auto& acc = staged_remote_[static_cast<std::size_t>(e.owner)];
+          detail::fold_slot(acc.vals, acc.has, acc.touched, e.lidx, uv,
+                            combine);
         }
       }
-      for (const RemoteEdge& e : remote_adj_[u]) {
-        auto& acc = staged_remote_[static_cast<std::size_t>(e.owner)];
-        if (acc.has[e.lidx]) {
-          acc.vals[e.lidx] = combiner_(acc.vals[e.lidx], uv);
-        } else {
-          acc.vals[e.lidx] = uv;
-          acc.has[e.lidx] = 1;
-          acc.touched.push_back(e.lidx);
-        }
-      }
-    }
+    });
     queue_.clear();
     head_ = 0;
   }
@@ -197,8 +196,8 @@ class Propagation : public Channel {
     for (int to = 0; to < num_workers; ++to) {
       runtime::Buffer& out = w().outbox(to);
       const auto& acc = staged_remote_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          static_cast<std::uint32_t>(acc.touched.size()));
+      out.write<std::uint32_t>(runtime::checked_u32(
+          acc.touched.size(), "Propagation update count"));
       seg_[static_cast<std::size_t>(to)] =
           out.extend(acc.touched.size() * kEntryBytes);
       total += acc.touched.size();

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,15 +39,21 @@ template <typename VertexT, typename ValT>
   requires runtime::TriviallySerializable<ValT>
 class PropagationW : public Channel {
  public:
-  /// f(source value, edge weight) -> contribution to the target.
+  /// f(source value, edge weight) -> contribution to the target. Any
+  /// callable of this shape works; the drain is instantiated for its type,
+  /// so a lambda inlines into the edge loop.
   using EdgeFn = std::function<ValT(const ValT&, graph::Weight)>;
 
-  PropagationW(Worker<VertexT>* w, Combiner<ValT> combiner, EdgeFn f,
+  template <typename F>
+    requires std::is_invocable_r_v<ValT, const F&, const ValT&,
+                                   graph::Weight>
+  PropagationW(Worker<VertexT>* w, Combiner<ValT> combiner, F f,
                std::string name = "propagation_w")
       : Channel(w, std::move(name)),
         worker_(w),
         combiner_(std::move(combiner)),
-        edge_fn_(std::move(f)),
+        edge_fn_(detail::erase_fn(std::move(f))),
+        drain_([](PropagationW& self) { self.drain<F>(); }),
         vals_(w->num_local(), combiner_.identity),
         in_queue_(w->num_local(), 0),
         local_adj_(w->num_local()),
@@ -98,32 +105,34 @@ class PropagationW : public Channel {
   }
 
   void serialize() override {
-    drain();
+    drain_(*this);
     emit(/*parallel=*/false);
   }
 
   /// Sequential drain, parallel payload write-out (see header note).
   void serialize_parallel() override {
-    drain();
+    drain_(*this);
     emit(/*parallel=*/true);
   }
 
   void deserialize() override {
     const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto n = in.read<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto lidx = in.read<std::uint32_t>();
-        const auto val = in.read<ValT>();
-        const ValT nv = combiner_(vals_[lidx], val);
-        if (nv != vals_[lidx]) {
-          vals_[lidx] = nv;
-          push(lidx);
-          worker_->activate_local(lidx);
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (int from = 0; from < num_workers; ++from) {
+        runtime::Buffer& in = w().inbox(from);
+        const auto n = in.read<std::uint32_t>();
+        for (std::uint32_t i = 0; i < n; ++i) {
+          const auto lidx = in.read<std::uint32_t>();
+          const auto val = in.read<ValT>();
+          const ValT nv = combine(vals_[lidx], val);
+          if (nv != vals_[lidx]) {
+            vals_[lidx] = nv;
+            push(lidx);
+            worker_->activate_local(lidx);
+          }
         }
       }
-    }
+    });
   }
 
   bool again() override { return head_ < queue_.size(); }
@@ -154,32 +163,31 @@ class PropagationW : public Channel {
   /// FIFO drain (see Propagation for why order matters): contributions
   /// move along local edges directly; remote contributions accumulate
   /// combined per receiver slot.
+  template <typename F>
   void drain() {
-    while (head_ < queue_.size()) {
-      const std::uint32_t u = queue_[head_++];
-      in_queue_[u] = 0;
-      const ValT uv = vals_[u];
-      for (const LocalEdge& e : local_adj_[u]) {
-        const ValT contribution = edge_fn_(uv, e.weight);
-        const ValT nv = combiner_(vals_[e.lidx], contribution);
-        if (nv != vals_[e.lidx]) {
-          vals_[e.lidx] = nv;
-          push(e.lidx);
-          worker_->activate_local(e.lidx);  // atomic frontier word-OR
+    const F& f = *static_cast<const F*>(edge_fn_.get());
+    with_combine_op(combiner_, [&](const auto& combine) {
+      while (head_ < queue_.size()) {
+        const std::uint32_t u = queue_[head_++];
+        in_queue_[u] = 0;
+        const ValT uv = vals_[u];
+        for (const LocalEdge& e : local_adj_[u]) {
+          const ValT contribution = f(uv, e.weight);
+          const ValT nv = combine(vals_[e.lidx], contribution);
+          if (nv != vals_[e.lidx]) {
+            vals_[e.lidx] = nv;
+            push(e.lidx);
+            worker_->activate_local(e.lidx);  // atomic frontier word-OR
+          }
+        }
+        for (const RemoteEdge& e : remote_adj_[u]) {
+          auto& acc = staged_remote_[static_cast<std::size_t>(e.owner)];
+          const ValT contribution = f(uv, e.weight);
+          detail::fold_slot(acc.vals, acc.has, acc.touched, e.lidx,
+                            contribution, combine);
         }
       }
-      for (const RemoteEdge& e : remote_adj_[u]) {
-        const ValT contribution = edge_fn_(uv, e.weight);
-        auto& acc = staged_remote_[static_cast<std::size_t>(e.owner)];
-        if (acc.has[e.lidx]) {
-          acc.vals[e.lidx] = combiner_(acc.vals[e.lidx], contribution);
-        } else {
-          acc.vals[e.lidx] = contribution;
-          acc.has[e.lidx] = 1;
-          acc.touched.push_back(e.lidx);
-        }
-      }
-    }
+    });
     queue_.clear();
     head_ = 0;
   }
@@ -195,8 +203,8 @@ class PropagationW : public Channel {
     for (int to = 0; to < num_workers; ++to) {
       runtime::Buffer& out = w().outbox(to);
       const auto& acc = staged_remote_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          static_cast<std::uint32_t>(acc.touched.size()));
+      out.write<std::uint32_t>(runtime::checked_u32(
+          acc.touched.size(), "PropagationW update count"));
       seg_[static_cast<std::size_t>(to)] =
           out.extend(acc.touched.size() * kEntryBytes);
       total += acc.touched.size();
@@ -233,7 +241,9 @@ class PropagationW : public Channel {
 
   Worker<VertexT>* worker_;
   Combiner<ValT> combiner_;
-  EdgeFn edge_fn_;
+  /// The edge transform, read only by the drain instantiated for its type.
+  detail::ErasedFn edge_fn_;
+  void (*drain_)(PropagationW&);
 
   std::vector<ValT> vals_;
   std::vector<std::uint8_t> in_queue_;

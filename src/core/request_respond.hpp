@@ -168,7 +168,8 @@ class RequestRespond : public Channel {
       std::sort(mine.begin(), mine.end());
       mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
       runtime::Buffer& out = w().outbox(to);
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(mine.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(mine.size(), "RequestRespond request count"));
       for (const KeyT dst : mine) {
         out.write<std::uint32_t>(w().local_of(dst));
       }
@@ -249,7 +250,8 @@ class RequestRespond : public Channel {
     for (int to = 0; to < num_workers; ++to) {
       runtime::Buffer& out = w().outbox(to);
       auto& replies = pending_replies_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(replies.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(replies.size(), "RequestRespond reply count"));
       if (!replies.empty()) {
         // Bare value list — order matches the id list the requester sent.
         out.write_bytes(replies.data(), replies.size() * sizeof(RespT));

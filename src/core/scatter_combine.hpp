@@ -111,25 +111,11 @@ class ScatterCombine : public Channel {
   void serialize() override { serialize_impl(/*parallel=*/false); }
   void serialize_parallel() override { serialize_impl(/*parallel=*/true); }
 
+  /// Sequential delivery: the positional delivery below over the whole
+  /// local vertex range, as one slot.
   void deserialize() override {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) continue;
-      const auto n = in.read<std::uint32_t>();
-      auto& order = recv_order_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake) {
-        order.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          order[i] = in.read<std::uint32_t>();
-        }
-      }
-      // Values arrive in the agreed order; combine positionally.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        apply(order[i], in.read<ValT>(), 0);
-      }
-    }
+    record_spans();
+    apply_spans(0, worker_->num_local(), 0);
   }
 
   /// Range-partitioned positional delivery: the handshake order lists are
@@ -137,29 +123,8 @@ class ScatterCombine : public Channel {
   /// scans each peer's bare value list and folds the positions whose
   /// destination falls in its contiguous local-vertex range.
   void deliver_parallel() override {
-    const int num_workers = w().num_workers();
-    std::uint64_t total = 0;
-    for (int from = 0; from < num_workers; ++from) {
-      runtime::Buffer& in = w().inbox(from);
-      const auto tag = in.read<std::uint8_t>();
-      if (tag == kTagIdle) {
-        spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
-        continue;
-      }
-      const auto n = in.read<std::uint32_t>();
-      auto& order = recv_order_[static_cast<std::size_t>(from)];
-      if (tag == kTagHandshake) {
-        order.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          order[i] = in.read<std::uint32_t>();
-        }
-      }
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(ValT));
-      total += n;
-    }
     w().run_comm_partitioned(
-        total, worker_->num_local(), &recv_touched_,
+        record_spans(), worker_->num_local(), &recv_touched_,
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
           apply_spans(lo, hi, slot);
         });
@@ -290,42 +255,71 @@ class ScatterCombine : public Channel {
     auto rank = static_cast<std::size_t>(
         std::upper_bound(uniq_offset_.begin(), uniq_offset_.end(), r_begin) -
         uniq_offset_.begin() - 1);
-    for (std::size_t u = r_begin; u < r_end; ++u) {
-      while (u >= uniq_offset_[rank + 1]) ++rank;
-      std::size_t i = run_start_[u];
-      const std::size_t i_end = run_start_[u + 1];
-      ValT acc = vals_[edges_[i].src];
-      for (++i; i < i_end; ++i) acc = combiner_(acc, vals_[edges_[i].src]);
-      std::memcpy(seg_[rank] + (u - uniq_offset_[rank]) * sizeof(ValT),
-                  &acc, sizeof(ValT));
-    }
-  }
-
-  void apply(std::uint32_t lidx, const ValT& val, int delivery_slot) {
-    if (has_[lidx]) {
-      slot_[lidx] = combiner_(slot_[lidx], val);
-    } else {
-      slot_[lidx] = val;
-      has_[lidx] = 1;
-      recv_touched_[static_cast<std::size_t>(delivery_slot)].push_back(lidx);
-    }
-    worker_->activate_local(lidx);  // atomic frontier word-OR
-  }
-
-  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
-    const int num_workers = w().num_workers();
-    for (int from = 0; from < num_workers; ++from) {
-      const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
-      const auto& order = recv_order_[static_cast<std::size_t>(from)];
-      const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
-        const std::uint32_t lidx = order[i];
-        if (lidx < lo || lidx >= hi) continue;
-        ValT val;
-        std::memcpy(&val, p, sizeof(ValT));
-        apply(lidx, val, delivery_slot);
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (std::size_t u = r_begin; u < r_end; ++u) {
+        while (u >= uniq_offset_[rank + 1]) ++rank;
+        std::size_t i = run_start_[u];
+        const std::size_t i_end = run_start_[u + 1];
+        ValT acc = vals_[edges_[i].src];
+        for (++i; i < i_end; ++i) acc = combine(acc, vals_[edges_[i].src]);
+        std::memcpy(seg_[rank] + (u - uniq_offset_[rank]) * sizeof(ValT),
+                    &acc, sizeof(ValT));
       }
+    });
+  }
+
+  /// Read every peer's header, install first-round handshake orders and
+  /// record the bare value spans; returns the total value count.
+  std::uint64_t record_spans() {
+    const int num_workers = w().num_workers();
+    std::uint64_t total = 0;
+    for (int from = 0; from < num_workers; ++from) {
+      runtime::Buffer& in = w().inbox(from);
+      const auto tag = in.read<std::uint8_t>();
+      if (tag == kTagIdle) {
+        spans_[static_cast<std::size_t>(from)] = {nullptr, 0};
+        continue;
+      }
+      const auto n = in.read<std::uint32_t>();
+      auto& order = recv_order_[static_cast<std::size_t>(from)];
+      if (tag == kTagHandshake) {
+        order.resize(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          order[i] = in.read<std::uint32_t>();
+        }
+      }
+      if (order.size() != n) {
+        throw runtime::ProtocolError(
+            "ScatterCombine: value count does not match the handshake "
+            "order");
+      }
+      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
+      in.skip(std::size_t{n} * sizeof(ValT));
+      total += n;
     }
+    return total;
+  }
+
+  /// Fold the recorded spans positionally into the receive slots,
+  /// restricted to lidx in [lo, hi) — peer order, then payload order.
+  void apply_spans(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
+    auto& touched = recv_touched_[static_cast<std::size_t>(delivery_slot)];
+    const int num_workers = w().num_workers();
+    with_combine_op(combiner_, [&](const auto& combine) {
+      for (int from = 0; from < num_workers; ++from) {
+        const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
+        const auto& order = recv_order_[static_cast<std::size_t>(from)];
+        const std::byte* p = ptr;
+        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(ValT)) {
+          const std::uint32_t lidx = order[i];
+          if (lidx < lo || lidx >= hi) continue;
+          ValT val;
+          std::memcpy(&val, p, sizeof(ValT));
+          detail::fold_slot(slot_, has_, touched, lidx, val, combine);
+          worker_->activate_local(lidx);  // atomic frontier word-OR
+        }
+      }
+    });
   }
 
   Worker<VertexT>* worker_;

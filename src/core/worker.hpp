@@ -271,7 +271,8 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
         const std::size_t patch = out.reserve_u32();
         const std::size_t before = out.size();
         c->save_state(out);
-        out.patch_u32(patch, static_cast<std::uint32_t>(out.size() - before));
+        out.patch_u32(patch, runtime::checked_u32(out.size() - before,
+                                                  "checkpoint channel state"));
       }
     } else {
       throw std::logic_error(

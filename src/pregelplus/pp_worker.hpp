@@ -286,14 +286,16 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& batch = staged_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(batch.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(batch.size(), "PPWorker wire count"));
       if (!batch.empty()) {
         out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
         batch.clear();
       }
       // Ghost registrations.
       auto& regs = staged_reg_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(regs.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(regs.size(), "PPWorker register count"));
       for (const auto& r : regs) {
         out.write<VertexId>(r.src);
         out.write_vector(r.neighbors);
@@ -301,7 +303,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       regs.clear();
       // Ghost broadcast values.
       auto& ghosts = staged_ghost_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(ghosts.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(ghosts.size(), "PPWorker ghost count"));
       if (!ghosts.empty()) {
         out.write_bytes(ghosts.data(), ghosts.size() * sizeof(GhostWire));
         ghosts.clear();
@@ -455,7 +458,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& replies = pending_replies_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(replies.size()));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(replies.size(), "PPWorker reply count"));
       if (!replies.empty()) {
         out.write_bytes(replies.data(), replies.size() * sizeof(RespWire));
         replies.clear();

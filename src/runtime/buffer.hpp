@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -32,6 +33,18 @@ class ProtocolError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// `size` narrowed to a u32 length or count field. A size that does not
+/// fit throws ProtocolError naming `what`: truncating it would make the
+/// reader misparse every byte after the field.
+[[nodiscard]] inline std::uint32_t checked_u32(std::uint64_t size,
+                                               const char* what) {
+  if (size > std::numeric_limits<std::uint32_t>::max()) {
+    throw ProtocolError(std::string(what) + ": " + std::to_string(size) +
+                        " does not fit a u32 field");
+  }
+  return static_cast<std::uint32_t>(size);
+}
 
 /// Growable byte buffer with a read cursor and an optional read limit.
 ///
@@ -169,7 +182,7 @@ class Buffer {
   /// Length-prefixed vector of trivially-copyable elements.
   template <TriviallySerializable T>
   void write_vector(const std::vector<T>& v) {
-    write<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
+    write<std::uint32_t>(checked_u32(v.size(), "Buffer::write_vector"));
     if (!v.empty()) write_bytes(v.data(), v.size() * sizeof(T));
   }
 
@@ -183,7 +196,7 @@ class Buffer {
   }
 
   void write_string(const std::string& s) {
-    write<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+    write<std::uint32_t>(checked_u32(s.size(), "Buffer::write_string"));
     if (!s.empty()) write_bytes(s.data(), s.size());
   }
 

@@ -144,11 +144,11 @@ class Exchange {
         payload = out.size() - header_at;
         lane.self_frames.push_back(
             ChannelFrame{static_cast<std::uint32_t>(channel_id),
-                         static_cast<std::uint32_t>(payload)});
+                         checked_u32(payload, "Exchange frame payload")});
       } else {
         payload = out.size() - header_at - sizeof(ChannelFrame);
         out.patch_u32(header_at + sizeof(std::uint32_t),
-                      static_cast<std::uint32_t>(payload));
+                      checked_u32(payload, "Exchange frame payload"));
       }
       payload_total += payload;
       // Remember the payload size as next round's pre-reserve hint.

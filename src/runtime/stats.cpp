@@ -52,7 +52,7 @@ void merge_field(T& into, const T& from) {
 template <class T>
 void write_field(Buffer& out, const T& v) {
   if constexpr (requires { typename T::mapped_type; }) {
-    out.write<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
+    out.write<std::uint32_t>(checked_u32(v.size(), "RunStats map size"));
     for (const auto& [key, value] : v) {
       out.write_string(key);
       out.write(value);

@@ -349,6 +349,126 @@ TEST(Direction, TcpAdaptiveSwitchMatchesInProcess) {
             (std::vector<std::uint8_t>{1, 0, 1, 0}));
 }
 
+// -------------------------------------------- typed edge transforms --
+
+/// How a TypedFoldWorker builds its pull-capable channel: the gather and
+/// push expansion are instantiated for the edge transform's type, and the
+/// fold for the combiner's op, so every construction path must give the
+/// same bits.
+enum class TypedFold {
+  kCapturingLambda,  ///< lambda with captured state, stock c_sum
+  kEdgeFnVariable,   ///< a std::function (EdgeFn) variable, stock c_sum
+  kCustomCombiner,   ///< plain lambda, non-stock float-sum combiner
+};
+
+struct FoldValue {
+  double x = 0.0;
+};
+using FoldVertex = Vertex<FoldValue>;
+
+/// PageRank-shaped float-sum program over weighted edges: every vertex
+/// publishes x / degree and receives the sum of f(share, weight).
+template <TypedFold Kind>
+class TypedFoldWorker : public Worker<FoldVertex> {
+ public:
+  using Msg = CombinedMessage<FoldVertex, double>;
+
+  void compute(FoldVertex& v) override {
+    if (step_num() == 1) {
+      v.value().x = 1.0 / static_cast<double>(v.id() + 3);
+    } else {
+      v.value().x = 0.25 + 0.5 * msg_.get_message();
+    }
+    if (step_num() > 6) {
+      v.vote_to_halt();
+      return;
+    }
+    const auto deg = v.edges().size();
+    if (deg != 0) msg_.publish(v.value().x / static_cast<double>(deg));
+  }
+
+ private:
+  static Msg make_channel(Worker<FoldVertex>* self) {
+    if constexpr (Kind == TypedFold::kCapturingLambda) {
+      const double scale = 0.75;
+      const double per_weight = 1e-3;
+      return Msg(
+          self, make_combiner(c_sum, 0.0),
+          [scale, per_weight](const double& share, graph::Weight w) {
+            return share * scale + per_weight * static_cast<double>(w);
+          },
+          "fold");
+    } else if constexpr (Kind == TypedFold::kEdgeFnVariable) {
+      const Msg::EdgeFn f = [](const double& share, graph::Weight w) {
+        return share * 0.75 + 1e-3 * static_cast<double>(w);
+      };
+      return Msg(self, make_combiner(c_sum, 0.0), f, "fold");
+    } else {
+      return Msg(
+          self,
+          make_combiner([](const double& a, const double& b) { return a + b; },
+                        0.0),
+          [](const double& share, graph::Weight w) {
+            return share * 0.75 + 1e-3 * static_cast<double>(w);
+          },
+          "fold");
+    }
+  }
+
+  Msg msg_ = make_channel(this);
+};
+
+graph::DistributedGraph weighted_rmat_dg(int workers) {
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 12;
+  opts.num_edges = 1u << 15;
+  opts.seed = 11;
+  opts.weighted = true;
+  const graph::Graph g = graph::rmat(opts);
+  return graph::DistributedGraph(
+      g, graph::hash_partition(g.num_vertices(), workers));
+}
+
+/// Push at 1 thread is the reference; pull at 1 and 3 threads with
+/// parallel delivery must match it bit for bit, in process (4 ranks, so a
+/// regrouped rank fold would show in the float sums) and on a 2-rank TCP
+/// team (against the 2-rank in-process push run).
+template <TypedFold Kind>
+void expect_typed_fold_parity() {
+  using W = TypedFoldWorker<Kind>;
+  const auto extract = [](const FoldVertex& v) { return bits(v.value().x); };
+  const Mode modes[] = {{DirectionMode::kPush, 3, 3, true},
+                        {DirectionMode::kPull, 1, 1, true},
+                        {DirectionMode::kPull, 3, 3, true}};
+  const auto dg4 = weighted_rmat_dg(4);
+  const auto dg2 = weighted_rmat_dg(2);
+  const Mode push{DirectionMode::kPush, 1, 1, false};
+  std::vector<std::uint64_t> want4, want2;
+  algo::run_collect<W>(dg4, want4, extract, pin<W>(push));
+  algo::run_collect<W>(dg2, want2, extract, pin<W>(push));
+  ASSERT_FALSE(want4.empty());
+  for (const Mode& m : modes) {
+    std::vector<std::uint64_t> got;
+    algo::run_collect<W>(dg4, got, extract, pin<W>(m));
+    EXPECT_EQ(got, want4) << "in-process " << mode_name(m);
+    std::vector<std::uint64_t> tcp;
+    run_tcp<W>(dg2, 2, tcp, extract, pin<W>(m));
+    EXPECT_EQ(tcp, want2) << "tcp " << mode_name(m);
+  }
+}
+
+TEST(Direction, TypedFoldCapturingLambdaPushPullBitwise) {
+  expect_typed_fold_parity<TypedFold::kCapturingLambda>();
+}
+
+TEST(Direction, TypedFoldEdgeFnVariablePushPullBitwise) {
+  expect_typed_fold_parity<TypedFold::kEdgeFnVariable>();
+}
+
+TEST(Direction, TypedFoldCustomCombinerPushPullBitwise) {
+  expect_typed_fold_parity<TypedFold::kCustomCombiner>();
+}
+
 // ------------------------------------------------------------ guard rails --
 
 struct GuardValue {

@@ -86,6 +86,22 @@ TEST(Buffer, ReadPastFrameLimitThrowsProtocolError) {
 
 // --------------------------------------------- exchange-level framing -----
 
+TEST(Buffer, CheckedU32NarrowsOrThrowsNamingTheField) {
+  using pregel::runtime::checked_u32;
+  EXPECT_EQ(checked_u32(0, "count"), 0u);
+  EXPECT_EQ(checked_u32(0xFFFFFFFFull, "count"), 0xFFFFFFFFu);
+  try {
+    (void)checked_u32(0x100000000ull, "Exchange frame payload");
+    FAIL() << "a size past u32 must throw";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("Exchange frame payload"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FramedExchange, AccountsPayloadPerChannelAndOverheadSeparately) {
   constexpr int kW = 2;
   Barrier barrier(kW);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -342,17 +343,98 @@ TEST(ParallelComm, TcpParityWccExactCombiner) {
 // ------------------------------------------------------------ unit bits --
 
 TEST(ParallelComm, MakeCombinerDetectsExactFolds) {
-  EXPECT_TRUE(make_combiner(c_min, graph::kInvalidVertex).exact);
-  EXPECT_TRUE((make_combiner(c_max, std::uint64_t{0}).exact));
-  EXPECT_TRUE(make_combiner(c_or, false).exact);
-  EXPECT_TRUE((make_combiner(c_sum, std::int64_t{0}).exact));
-  EXPECT_FALSE(make_combiner(c_sum, 0.0).exact);  // float regroup != exact
+  // exact: which folds regroup bit-exactly; op: the stock function's tag.
+  const auto min = make_combiner(c_min, graph::kInvalidVertex);
+  EXPECT_TRUE(min.exact);
+  EXPECT_EQ(min.op, CombineOp::kMin);
+  const auto max = make_combiner(c_max, std::uint64_t{0});
+  EXPECT_TRUE(max.exact);
+  EXPECT_EQ(max.op, CombineOp::kMax);
+  const auto any = make_combiner(c_or, false);
+  EXPECT_TRUE(any.exact);
+  EXPECT_EQ(any.op, CombineOp::kOr);
+  const auto isum = make_combiner(c_sum, std::int64_t{0});
+  EXPECT_TRUE(isum.exact);
+  EXPECT_EQ(isum.op, CombineOp::kSum);
+  const auto fsum = make_combiner(c_sum, 0.0);
+  EXPECT_FALSE(fsum.exact);  // float regroup != exact
+  EXPECT_EQ(fsum.op, CombineOp::kSum);
   const auto custom = make_combiner(
       [](const int& a, const int& b) { return a ^ b; }, 0);
   EXPECT_FALSE(custom.exact);  // custom functions default to inexact
+  EXPECT_EQ(custom.op, CombineOp::kCustom);
   const auto forced = make_combiner(
       [](const int& a, const int& b) { return a ^ b; }, 0, /*exact=*/true);
   EXPECT_TRUE(forced.exact);
+  EXPECT_EQ(forced.op, CombineOp::kCustom);
+  // An explicit exact flag keeps the tag of the stock function it wraps.
+  const auto forced_sum = make_combiner(c_sum, 0.0, /*exact=*/true);
+  EXPECT_TRUE(forced_sum.exact);
+  EXPECT_EQ(forced_sum.op, CombineOp::kSum);
+}
+
+/// Left fold through with_combine_op, i.e. the typed path every channel
+/// loop takes.
+template <typename T>
+T typed_fold(const Combiner<T>& c, const std::vector<T>& xs) {
+  return with_combine_op(c, [&](const auto& combine) {
+    T acc = c.identity;
+    for (const T& x : xs) acc = combine(acc, x);
+    return acc;
+  });
+}
+
+/// The same fold through the type-erased std::function.
+template <typename T>
+T erased_fold(const Combiner<T>& c, const std::vector<T>& xs) {
+  T acc = c.identity;
+  for (const T& x : xs) acc = c.fn(acc, x);
+  return acc;
+}
+
+TEST(ParallelComm, WithCombineOpFoldsLikeTheStdFunction) {
+  const std::vector<double> ds{0.1, 1e16, -1e16, 0.2, 3.0 / 7.0, -0.3};
+  const auto sum = make_combiner(c_sum, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(typed_fold(sum, ds)),
+            std::bit_cast<std::uint64_t>(erased_fold(sum, ds)));
+  const auto max = make_combiner(c_max, -1.0);
+  EXPECT_EQ(typed_fold(max, ds), erased_fold(max, ds));
+  // Narrow integers: c_sum promotes to int, both paths convert back.
+  const std::vector<std::uint8_t> bytes{200, 100, 7};
+  const auto u8sum = make_combiner(c_sum, std::uint8_t{0});
+  EXPECT_EQ(typed_fold(u8sum, bytes), erased_fold(u8sum, bytes));
+  const std::vector<std::uint64_t> ids{9, 4, 12, 4};
+  const auto min = make_combiner(c_min, ~std::uint64_t{0});
+  EXPECT_EQ(typed_fold(min, ids), 4u);
+  const std::vector<bool> flags{false, true, false};
+  EXPECT_TRUE(typed_fold(make_combiner(c_or, false), flags));
+  const auto custom = make_combiner(
+      [](const int& a, const int& b) { return a * 2 + b; }, 1);
+  const std::vector<int> ints{3, 5, 8};
+  EXPECT_EQ(typed_fold(custom, ints), erased_fold(custom, ints));
+}
+
+TEST(ParallelComm, WithCombineOpFallsBackForTypesWithoutStockOps) {
+  // No +, < or || on this type: the stock branches compile away and
+  // even a (hand-built) stock tag folds through fn.
+  struct Pair {
+    int lo = 0;
+    int hi = 0;
+  };
+  Combiner<Pair> c = make_combiner(
+      [](const Pair& a, const Pair& b) {
+        return Pair{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+      },
+      Pair{1000, -1000});
+  EXPECT_EQ(c.op, CombineOp::kCustom);
+  const std::vector<Pair> xs{{3, 4}, {-1, 2}, {5, 9}};
+  Pair got = typed_fold(c, xs);
+  EXPECT_EQ(got.lo, -1);
+  EXPECT_EQ(got.hi, 9);
+  c.op = CombineOp::kSum;
+  got = typed_fold(c, xs);
+  EXPECT_EQ(got.lo, -1);
+  EXPECT_EQ(got.hi, 9);
 }
 
 TEST(ParallelComm, ItemRangePartitionsExactly) {
