@@ -6,6 +6,7 @@
 //    cost; steady-state supersteps transmit bare values),
 //  * request deduplication under extreme skew (star graph),
 //  * the pull gather's edges/s with a stock vs a custom combiner,
+//  * the scatter channel's one-time edge layout build, in edges/s,
 //  * the locality partitioner's edge-cut vs hash placement.
 
 #include <benchmark/benchmark.h>
@@ -433,6 +434,30 @@ BENCHMARK(Layer_PullGather_StockSum)
     ->UseManualTime()
     ->Iterations(3);
 BENCHMARK(Layer_PullGather_CustomSum)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
+    ->Iterations(3);
+
+// ------------------------ layer: scatter edge layout (DESIGN.md §8) -----
+
+/// Superstep 1 of PageRankScatter on the WebUK stand-in: every vertex
+/// registers its out-edges, and the first serialize lays the static edge
+/// set out by destination (ScatterCombine's one-time counting sort), ships
+/// the handshake and folds the first values. A one-iteration run only
+/// reads in superstep 2, so a row's time is the rank-max serialize
+/// seconds and its items are the registered edges (items/s = edges/s).
+void Layer_ScatterBuild(benchmark::State& state) {
+  runtime::RunStats last;
+  for (auto _ : state) {
+    last = algo::run_only<algo::PageRankScatter>(
+        webuk(), [](algo::PageRankScatter& w) { w.iterations = 1; });
+    state.SetIterationTime(last.serialize_seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(state.iterations()) * webuk().num_edges()));
+  bench::record_json(__func__, last);
+}
+BENCHMARK(Layer_ScatterBuild)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime()
     ->Iterations(3);

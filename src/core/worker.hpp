@@ -91,6 +91,10 @@ class WorkerBase : public EngineBase {
   [[nodiscard]] std::uint32_t local_of(VertexId v) const {
     return env_.dg->local_index(v);
   }
+  /// Global ids of any rank's vertices, in local-index order.
+  [[nodiscard]] const std::vector<VertexId>& members_of(int rank) const {
+    return env_.dg->ids(rank);
+  }
   [[nodiscard]] VertexId global_id(std::uint32_t lidx) const {
     return env_.dg->global_id(env_.rank, lidx);
   }

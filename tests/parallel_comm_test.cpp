@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,86 @@ TEST(ParallelComm, ScatterCombineSegmentedSerialize) {
   run_matrix<algo::PageRankScatter, std::uint64_t>(
       dg, [](const algo::PRVertex& v) { return bits(v.value().rank); },
       [](algo::PageRankScatter& w) { w.iterations = 6; });
+}
+
+/// ScatterCombine's fold-order contract: a run folds its edges in
+/// registration order (the order add_edge saw them), and the receiver
+/// folds the peers' values in peer order. A non-commutative combiner
+/// makes any other order visible.
+struct FoldValue {
+  std::uint64_t got = 0;
+};
+using FoldVertex = Vertex<FoldValue>;
+
+std::uint64_t fold_step(const std::uint64_t& acc, const std::uint64_t& v) {
+  return acc * 1000003u + v;
+}
+std::uint64_t fold_message(graph::VertexId u) {
+  return std::uint64_t{u} * 2654435761u + 1;
+}
+
+class FoldOrderWorker : public Worker<FoldVertex> {
+ public:
+  void compute(FoldVertex& v) override {
+    if (step_num() == 1) {
+      for (const auto& e : v.edges()) msg_.add_edge(e.dst);
+      msg_.set_message(fold_message(v.id()));
+    } else {
+      if (msg_.has_message()) v.value().got = msg_.get_message();
+      v.vote_to_halt();
+    }
+  }
+
+ private:
+  ScatterCombine<FoldVertex, std::uint64_t> msg_{
+      this,
+      make_combiner([](const std::uint64_t& a,
+                       const std::uint64_t& b) { return fold_step(a, b); },
+                    std::uint64_t{0}),
+      "fold"};
+};
+
+TEST(ParallelComm, ScatterCombineFoldsRunsInRegistrationOrder) {
+  // A star (8191 leaves -> vertex 0: a run of ~2048 edges per sender
+  // rank, far past the 16-element ties a comparison sort reorders) plus
+  // random edges, so every rank also stages > kParallelCommMinItems edges
+  // and receives > kParallelCommMinItems values.
+  constexpr graph::VertexId kN = 8192;
+  graph::Graph g = graph::star(kN);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<graph::VertexId> pick(0, kN - 1);
+  for (int i = 0; i < 40000; ++i) g.add_edge(pick(rng), pick(rng));
+  const graph::DistributedGraph dg(g, graph::hash_partition(kN, 4));
+
+  // The left fold in registration order, per sender rank (vertex order,
+  // then edge order), then over sender ranks in rank order.
+  std::vector<std::uint64_t> want(kN, 0);
+  std::vector<std::uint8_t> have(kN, 0);
+  for (int r = 0; r < dg.num_workers(); ++r) {
+    std::vector<std::uint64_t> run(kN, 0);
+    std::vector<std::uint8_t> touched(kN, 0);
+    for (std::uint32_t lidx = 0; lidx < dg.num_local(r); ++lidx) {
+      const std::uint64_t m = fold_message(dg.global_id(r, lidx));
+      for (const auto& e : dg.out(r, lidx)) {
+        run[e.dst] = touched[e.dst] ? fold_step(run[e.dst], m) : m;
+        touched[e.dst] = 1;
+      }
+    }
+    for (graph::VertexId d = 0; d < kN; ++d) {
+      if (!touched[d]) continue;
+      want[d] = have[d] ? fold_step(want[d], run[d]) : run[d];
+      have[d] = 1;
+    }
+  }
+
+  for (const Mode m : {Mode{1, 1, false}, Mode{3, 1, false}, Mode{1, 3, true},
+                       Mode{3, 3, true}}) {
+    std::vector<std::uint64_t> got;
+    algo::run_collect<FoldOrderWorker>(
+        dg, got, [](const FoldVertex& v) { return v.value().got; },
+        pin<FoldOrderWorker>(m));
+    EXPECT_EQ(got, want) << mode_name(m);
+  }
 }
 
 TEST(ParallelComm, MirrorScatterSegmentedSerialize) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algorithms/pointer_jumping.hpp"
@@ -101,6 +103,38 @@ TEST(Misuse, ScatterAddEdgeAfterFinalizeThrows) {
   const Graph g = graph::chain(16);
   const DistributedGraph dg(g, graph::hash_partition(g.num_vertices(), 2));
   core::launch<LateAddEdgeWorker>(dg);
+}
+
+/// Worker that registers an edge to an id past the last vertex.
+class OutOfRangeEdgeWorker : public Worker<NopVertex> {
+ public:
+  void compute(NopVertex& v) override {
+    const auto n = static_cast<VertexId>(get_vnum());
+    if (step_num() == 1) {
+      try {
+        sc_.add_edge(n + v.id());
+        ADD_FAILURE() << "add_edge accepted id " << n + v.id();
+      } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find("'sc'"), std::string::npos)
+            << e.what();
+      }
+      sc_.add_edge(n - 1 - v.id());  // ids up to n - 1 still register
+      sc_.set_message(1);
+    } else {
+      EXPECT_EQ(sc_.get_message(), 1u);
+      v.vote_to_halt();
+    }
+  }
+
+ private:
+  ScatterCombine<NopVertex, std::uint64_t> sc_{
+      this, make_combiner(c_sum, std::uint64_t{0}), "sc"};
+};
+
+TEST(Misuse, ScatterAddEdgeOutOfRangeThrows) {
+  const Graph g = graph::chain(16);
+  const DistributedGraph dg(g, graph::hash_partition(g.num_vertices(), 2));
+  core::launch<OutOfRangeEdgeWorker>(dg);
 }
 
 TEST(Misuse, PPWorkerValidatesAggregatorSlots) {
