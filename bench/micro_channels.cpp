@@ -5,7 +5,8 @@
 //  * the scatter handshake amortization (identifier shipping is a one-time
 //    cost; steady-state supersteps transmit bare values),
 //  * request deduplication under extreme skew (star graph),
-//  * the pull gather's edges/s with a stock vs a custom combiner,
+//  * the pull gather's edges/s with a stock vs a custom combiner, and the
+//    one-time pull set-up (index build plus handshake) in edges/s,
 //  * the scatter channel's one-time edge layout build, in edges/s,
 //  * the locality partitioner's edge-cut vs hash placement.
 
@@ -374,13 +375,13 @@ BENCHMARK(Frontier_SparseSuperstep_WordScan)
 template <bool kCustom>
 class PullGatherPageRank : public core::Worker<algo::PRVertex> {
  public:
-  static constexpr int kIterations = 10;
+  int iterations = 10;
 
   void compute(algo::PRVertex& v) override {
     const double n = static_cast<double>(get_vnum());
     v.value().rank =
         step_num() == 1 ? 1.0 / n : 0.15 / n + 0.85 * msg_.get_message();
-    if (step_num() > kIterations) {
+    if (step_num() > iterations) {
       v.vote_to_halt();
       return;
     }
@@ -434,6 +435,32 @@ BENCHMARK(Layer_PullGather_StockSum)
     ->UseManualTime()
     ->Iterations(3);
 BENCHMARK(Layer_PullGather_CustomSum)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
+    ->Iterations(3);
+
+/// Superstep 1 of forced-pull PageRank on the WebUK stand-in with no
+/// iterations: every vertex halts without publishing, so the one
+/// superstep is the pull set-up alone — the rank-local edge scan, the
+/// structure handshake (serialize, exchange), the index build and one
+/// all-stale gather pass. A row's time is the rank-max superstep wall;
+/// its items are the graph's edges (items/s = edges per rank-max second).
+void Layer_PullSetup(benchmark::State& state) {
+  runtime::RunStats last;
+  for (auto _ : state) {
+    last = algo::run_only<PullGatherPageRank<false>>(
+        webuk(), [](PullGatherPageRank<false>& w) {
+          w.set_direction_mode(core::DirectionMode::kPull);
+          w.iterations = 0;
+        });
+    state.SetIterationTime(last.seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(state.iterations()) * webuk().num_edges()));
+  state.counters["supersteps"] = static_cast<double>(last.supersteps);
+  bench::record_json(__func__, last);
+}
+BENCHMARK(Layer_PullSetup)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime()
     ->Iterations(3);

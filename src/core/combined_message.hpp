@@ -52,13 +52,14 @@
 // weight) from its in-neighbors during deserialize — rank-local edges
 // ship ZERO wire bytes; remote in-neighbors arrive via a compact
 // boundary exchange of (src lidx, value) pairs per peer rank. The
-// in-edge index is served by the cached CsrGraph::transpose() of per-rank
-// forward slices; remote ranks' slices are learned through a one-time
-// structure handshake prepended to the first pull-round payload (a
-// localized TCP rank has no other way to know its remote in-edges). The
-// gather replays the push fold order exactly — per source rank a sub-fold
-// in (src lidx, edge position) order, sub-results folded in rank order —
-// so results are bitwise identical to push even for float-sum combiners.
+// in-edge index is one flat PullIndex per rank (core/pull_index.hpp),
+// built in one counting pass from the rank's own adjacency and the
+// peers' edges into it, which arrive through a one-time structure
+// handshake prepended to the first pull-round payload (a localized TCP
+// rank has no other way to know its remote in-edges). The gather replays
+// the push fold order exactly — per source rank a sub-fold in (src lidx,
+// edge position) order, sub-results folded in rank order — so results
+// are bitwise identical to push even for float-sum combiners.
 //
 // Typed folds (DESIGN.md section 8): every per-item fold — stage-time
 // combining, the serialize merge, delivery and the pull gather — runs
@@ -72,6 +73,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -79,9 +81,9 @@
 #include <vector>
 
 #include "core/channel.hpp"
+#include "core/pull_index.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
-#include "graph/csr.hpp"
 
 namespace pregel::core {
 
@@ -161,8 +163,7 @@ class CombinedMessage : public Channel {
     }
     const std::uint32_t lidx = w().current_local();
     if (direction_ == Direction::kPull) {
-      published_[lidx] = value;
-      pub_epoch_[lidx] = cur_epoch_;
+      index_->publish(lidx, value);
       return;
     }
     expand_(*this, lidx, value);
@@ -174,8 +175,9 @@ class CombinedMessage : public Channel {
 
   /// Engine announcement of this superstep's collective direction. The
   /// first pull superstep lazily builds the sender-side pull state (the
-  /// published columns, the per-peer boundary lists and the self in-edge
-  /// slice); remote slices follow via the wire handshake.
+  /// value column, the per-peer boundary lists and handshake edges, and
+  /// the rank-local edges); the index itself is built once the peers'
+  /// handshakes have arrived.
   void set_direction(Direction dir) override {
     direction_ = dir;
     if (dir == Direction::kPull) ensure_pull_ready();
@@ -261,7 +263,7 @@ class CombinedMessage : public Channel {
     if (direction_ == Direction::kPull) {
       absorb_pull_payloads();
       gather_(*this, 0, num_local_limit(), 0);
-      ++cur_epoch_;
+      index_->advance_epoch();
       return;
     }
     record_spans();
@@ -278,11 +280,11 @@ class CombinedMessage : public Channel {
     if (direction_ == Direction::kPull) {
       absorb_pull_payloads();
       w().run_comm_partitioned(
-          pull_in_edges_, num_local_limit(), &recv_touched_,
+          index_->num_entries(), num_local_limit(), &recv_touched_,
           [this](std::uint32_t lo, std::uint32_t hi, int slot) {
             gather_(*this, lo, hi, slot);
           });
-      ++cur_epoch_;
+      index_->advance_epoch();
       return;
     }
     w().run_comm_partitioned(
@@ -293,10 +295,7 @@ class CombinedMessage : public Channel {
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    ValT value;
-  };
+  using Wire = LidxWire<ValT>;
 
   /// Pending combined values keyed by a local index: one slot's staging
   /// for one destination rank, or the serialize merge for one rank.
@@ -508,80 +507,56 @@ class CombinedMessage : public Channel {
   }
   // ---- pull protocol (DESIGN.md section 9) --------------------------------
 
-  /// One out-edge of this rank whose destination a peer owns, in the
-  /// peer's coordinates — the unit of the one-time structure handshake.
-  struct PullEdge {
-    std::uint32_t src_lidx;  ///< sender-rank local index of the source
-    std::uint32_t dst_lidx;  ///< receiver-rank local index of the target
-    graph::Weight weight;
-  };
-
   /// First pull superstep: build everything derivable from the rank's own
-  /// adjacency — the published columns, the per-peer boundary vertex
-  /// lists, the per-peer handshake edge lists, and the self in-edge slice
-  /// (a forward CSR over the rank-local edges whose cached transpose is
-  /// the gather index). Works identically on a localized TCP view: only
-  /// out(rank, lidx) and the global partition id maps are touched.
+  /// adjacency — the value column, the per-peer boundary vertex lists,
+  /// the per-peer handshake edge lists and the rank-local edge list the
+  /// index build buckets. Two passes: the first sizes every list, the
+  /// second fills it, so no list regrows while it fills. Works identically
+  /// on a localized TCP view: only out(rank, lidx) and the global
+  /// partition id maps are touched.
   void ensure_pull_ready() {
-    if (pull_ready_) return;
-    pull_ready_ = true;
+    if (index_) return;
     const int num_workers = w().num_workers();
     const int me = w().rank();
     const std::uint32_t n = num_local_limit();
-    published_.assign(n, ValT{});
-    pub_epoch_.assign(n, 0);
-    cur_epoch_ = 1;
+    std::vector<std::uint32_t> counts(static_cast<std::size_t>(num_workers));
+    for (int r = 0; r < num_workers; ++r) {
+      counts[static_cast<std::size_t>(r)] = peer_local_count(r);
+    }
+    index_.emplace(name(), me, std::move(counts));
     boundary_.assign(static_cast<std::size_t>(num_workers), {});
     handshake_out_.assign(static_cast<std::size_t>(num_workers), {});
-    slices_.assign(static_cast<std::size_t>(num_workers), {});
-    gather_index_.assign(static_cast<std::size_t>(num_workers), nullptr);
-    peer_vals_.resize(static_cast<std::size_t>(num_workers));
-    peer_epoch_.resize(static_cast<std::size_t>(num_workers));
 
-    std::vector<std::uint64_t> self_offsets(n + 1, 0);
-    std::vector<graph::VertexId> self_dst;
-    std::vector<graph::Weight> self_weights;
+    std::vector<std::size_t> sizes(static_cast<std::size_t>(num_workers), 0);
+    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
+      for (const VertexId dst : worker_->dgraph().out(me, lidx).targets()) {
+        ++sizes[static_cast<std::size_t>(w().owner_of(dst))];
+      }
+    }
+    for (int r = 0; r < num_workers; ++r) {
+      handshake_out_[static_cast<std::size_t>(r)].reserve(
+          sizes[static_cast<std::size_t>(r)]);
+    }
+    // handshake_out_[me] collects the rank-local edges for the index. No
+    // branch in this loop tests a looked-up owner: a mispredicted one
+    // would wait out the lookup's cache miss on every edge.
     for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
       for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
-        const int to = w().owner_of(e.dst);
-        const std::uint32_t dst_lidx = w().local_of(e.dst);
-        if (to == me) {
-          self_dst.push_back(dst_lidx);
-          self_weights.push_back(e.weight);
-          continue;
-        }
-        const auto peer = static_cast<std::size_t>(to);
-        handshake_out_[peer].push_back(PullEdge{lidx, dst_lidx, e.weight});
-        if (boundary_[peer].empty() || boundary_[peer].back() != lidx) {
-          boundary_[peer].push_back(lidx);  // lidx ascending by construction
+        handshake_out_[static_cast<std::size_t>(w().owner_of(e.dst))]
+            .push_back(PullEdge{lidx, w().local_of(e.dst), e.weight});
+      }
+    }
+    for (int r = 0; r < num_workers; ++r) {
+      if (r == me) continue;
+      auto& boundary = boundary_[static_cast<std::size_t>(r)];
+      for (const PullEdge& e : handshake_out_[static_cast<std::size_t>(r)]) {
+        if (boundary.empty() || boundary.back() != e.src_lidx) {
+          boundary.push_back(e.src_lidx);  // ascending by construction
         }
       }
-      self_offsets[lidx + 1] = self_dst.size();
     }
-    install_slice(me, std::move(self_offsets), std::move(self_dst),
-                  std::move(self_weights));
-    for (int p = 0; p < num_workers; ++p) {
-      if (p == me) continue;
-      peer_vals_[static_cast<std::size_t>(p)].assign(peer_local_count(p),
-                                                     ValT{});
-      peer_epoch_[static_cast<std::size_t>(p)].assign(peer_local_count(p), 0);
-    }
-  }
-
-  /// Register rank r's forward slice (rows = r's source vertices over
-  /// `rows` ids, destinations = this rank's local indices) and cache its
-  /// transpose as the gather index: transposed row d lists d's in-edges
-  /// from rank r as Edge{src lidx, weight}, in (src lidx, edge position)
-  /// order thanks to the counting sort's stability — exactly the order
-  /// rank r's push serialize folds its contributions in.
-  void install_slice(int r, std::vector<std::uint64_t> offsets,
-                     std::vector<graph::VertexId> dst,
-                     std::vector<graph::Weight> weights) {
-    const auto slot = static_cast<std::size_t>(r);
-    pull_in_edges_ += dst.size();
-    slices_[slot] = graph::CsrGraph::from_arrays(
-        std::move(offsets), std::move(dst), std::move(weights));
-    gather_index_[slot] = &slices_[slot].transpose();
+    index_->set_own_edges(
+        std::move(handshake_out_[static_cast<std::size_t>(me)]));
   }
 
   /// Emit the pull-round payload for destination ranks [begin, end): for
@@ -589,136 +564,74 @@ class CombinedMessage : public Channel {
   /// the peer, in the push fold order), then the boundary values section —
   /// one (src lidx, value) pair per boundary vertex published this epoch.
   /// The self payload is ZERO bytes: rank-local edges are gathered
-  /// straight from the published column, nothing rides the wire.
+  /// straight from the value column, nothing rides the wire.
   void emit_pull_ranks(int begin, int end) {
     const int me = w().rank();
+    // The handshake rides the round that builds the index; the flag flips
+    // only in absorb_pull_payloads(), after every range has emitted.
+    const bool with_handshake = !index_->built();
     for (int to = begin; to < end; ++to) {
       if (to == me) continue;
       const auto peer = static_cast<std::size_t>(to);
       runtime::Buffer& out = w().outbox(to);
-      if (!handshake_sent_) {
+      if (with_handshake) {
         const auto& edges = handshake_out_[peer];
+        out.reserve(out.size() + sizeof(std::uint64_t) +
+                    edges.size() * sizeof(PullEdge) + sizeof(std::uint32_t) +
+                    boundary_[peer].size() * sizeof(Wire));
         out.write<std::uint64_t>(edges.size());
         if (!edges.empty()) {
           out.write_bytes(edges.data(), edges.size() * sizeof(PullEdge));
         }
+        handshake_out_[peer] = {};  // shipped: free it before the next fills
       }
       const std::size_t count_at = out.reserve_u32();
       std::uint32_t count = 0;
       for (const std::uint32_t lidx : boundary_[peer]) {
-        if (pub_epoch_[lidx] != cur_epoch_) continue;
-        out.write(Wire{lidx, published_[lidx]});
+        if (!index_->published(lidx)) continue;
+        out.write(Wire{lidx, index_->own_value(lidx)});
         ++count;
       }
       out.patch_u32(count_at, count);
     }
-    if (end == w().num_workers()) {
-      // The last range finishing marks the handshake shipped; with the
-      // parallel fan-out every range checked the flag before any write,
-      // and the flag flips only after all emits of the round.
-      handshake_done_pending_ = true;
-    }
   }
 
-  /// Read every peer's pull payload: the one-time handshake (building the
-  /// peer's forward slice + cached-transpose gather index), then the
-  /// boundary values, stamped into the peer value table at the current
-  /// epoch.
+  /// Read every peer's pull payload — the one-time handshake, then the
+  /// boundary values — into the index; the first round then builds it.
+  /// Every field is validated: damage throws runtime::ProtocolError
+  /// naming the channel and the peer.
   void absorb_pull_payloads() {
-    if (handshake_done_pending_) {
-      handshake_sent_ = true;
-      handshake_done_pending_ = false;
-      handshake_out_.clear();  // one-time payload, free the staging
-    }
+    const bool first = !index_->built();
     const int num_workers = w().num_workers();
     const int me = w().rank();
-    const std::uint32_t n = num_local_limit();
     for (int from = 0; from < num_workers; ++from) {
       if (from == me) continue;
-      const auto peer = static_cast<std::size_t>(from);
       runtime::Buffer& in = w().inbox(from);
-      if (!handshake_received_) {
-        const auto edge_count = in.read<std::uint64_t>();
-        const std::uint32_t n_from = peer_local_count(from);
-        const std::uint32_t rows = std::max(n_from, n);
-        std::vector<std::uint64_t> offsets(rows + 1, 0);
-        std::vector<graph::VertexId> dst(edge_count);
-        std::vector<graph::Weight> weights(edge_count);
-        std::uint32_t prev_src = 0;
-        for (std::uint64_t i = 0; i < edge_count; ++i) {
-          const auto e = in.read<PullEdge>();
-          // The sender emits in (src lidx, edge position) order, so the
-          // CSR rows fill front to back.
-          for (std::uint32_t s = prev_src; s < e.src_lidx; ++s) {
-            offsets[s + 1] = i;
-          }
-          prev_src = e.src_lidx;
-          dst[i] = e.dst_lidx;
-          weights[i] = e.weight;
-        }
-        for (std::uint32_t s = prev_src; s < rows; ++s) {
-          offsets[s + 1] = edge_count;
-        }
-        install_slice(from, std::move(offsets), std::move(dst),
-                      std::move(weights));
-      }
-      const auto count = in.read<std::uint32_t>();
-      auto& vals = peer_vals_[peer];
-      auto& epochs = peer_epoch_[peer];
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const auto wire = in.read<Wire>();
-        vals[wire.lidx] = wire.value;
-        epochs[wire.lidx] = cur_epoch_;
-      }
+      if (first) index_->read_handshake(in, from);
+      index_->read_values(in, from);
     }
-    handshake_received_ = true;
+    if (first) index_->build();
+    index_->settle_own_freshness();
   }
 
   /// Gather this superstep's combined value for every destination vertex
-  /// d in [lo, hi): per source rank a sub-fold of f(published, weight)
-  /// over d's in-edges from that rank in (src lidx, edge position) order,
-  /// sub-results folded in rank order (this rank at its natural
-  /// position). That nesting replays push's fold exactly — push combines
-  /// per sender rank first and folds the per-rank wires in peer order at
-  /// delivery — so even float-sum results are bitwise identical.
-  /// Destinations are independent, so the parallel fan-out changes
-  /// nothing. Typed on the edge transform and, through with_combine_op,
-  /// on the combiner: both inline into the edge loop.
+  /// in [lo, hi) through the index's one kernel (per-rank sub-folds in
+  /// push's order, folded in rank order). Destinations are independent,
+  /// so the parallel fan-out changes nothing. Typed on the edge transform
+  /// and, through with_combine_op, on the combiner: both inline into the
+  /// edge loop.
   template <typename F>
   void gather_range(std::uint32_t lo, std::uint32_t hi, int delivery_slot) {
     const F& f = edge_fn<F>();
-    const int num_workers = w().num_workers();
-    const int me = w().rank();
     auto& touched = recv_touched_[static_cast<std::size_t>(delivery_slot)];
     with_combine_op(combiner_, [&](const auto& combine) {
-      for (std::uint32_t d = lo; d < hi; ++d) {
-        ValT acc{};
-        bool any = false;
-        for (int r = 0; r < num_workers; ++r) {
-          const auto slot = static_cast<std::size_t>(r);
-          const ValT* vals =
-              r == me ? published_.data() : peer_vals_[slot].data();
-          const std::uint32_t* epochs =
-              r == me ? pub_epoch_.data() : peer_epoch_[slot].data();
-          ValT sub{};
-          bool got = false;
-          for (const graph::Edge e : gather_index_[slot]->out(d)) {
-            const std::uint32_t src = e.dst;  // transposed: dst = source
-            if (epochs[src] != cur_epoch_) continue;
-            const ValT contrib = f(vals[src], e.weight);
-            sub = got ? combine(sub, contrib) : contrib;
-            got = true;
-          }
-          if (!got) continue;
-          acc = any ? combine(acc, sub) : sub;
-          any = true;
-        }
-        if (!any) continue;
-        slot_[d] = acc;
-        has_[d] = 1;
-        touched.push_back(d);
-        worker_->activate_local(d);  // atomic frontier word-OR
-      }
+      index_->gather(lo, hi, f, combine,
+                     [&](std::uint32_t d, const ValT& acc) {
+                       slot_[d] = acc;
+                       has_[d] = 1;
+                       touched.push_back(d);
+                       worker_->activate_local(d);  // atomic frontier word-OR
+                     });
     });
   }
 
@@ -748,23 +661,9 @@ class CombinedMessage : public Channel {
                   int) = nullptr;
   void (*expand_)(CombinedMessage&, std::uint32_t, const ValT&) = nullptr;
   Direction direction_ = Direction::kPush;
-  bool pull_ready_ = false;
-  bool handshake_sent_ = false;       ///< structure shipped to all peers
-  bool handshake_done_pending_ = false;
-  bool handshake_received_ = false;   ///< all peer slices installed
-  /// Publish epoch: one per pull superstep, bumped after its gather.
-  /// Stamps distinguish "published THIS pull superstep" from stale values
-  /// (0 = never) without any per-superstep clearing.
-  std::uint32_t cur_epoch_ = 1;
-  std::vector<ValT> published_;            ///< one slot per local vertex
-  std::vector<std::uint32_t> pub_epoch_;
+  std::optional<PullIndex<ValT>> index_;  ///< set on the first pull superstep
   std::vector<std::vector<std::uint32_t>> boundary_;  ///< per peer, lidx asc
-  std::vector<std::vector<PullEdge>> handshake_out_;
-  std::vector<graph::CsrGraph> slices_;    ///< forward slice per source rank
-  std::vector<const graph::CsrGraph*> gather_index_;  ///< cached transposes
-  std::vector<std::vector<ValT>> peer_vals_;          ///< per peer, by lidx
-  std::vector<std::vector<std::uint32_t>> peer_epoch_;
-  std::uint64_t pull_in_edges_ = 0;  ///< gather work size (edges indexed)
+  std::vector<std::vector<PullEdge>> handshake_out_;  ///< per peer, until sent
 };
 
 }  // namespace pregel::core

@@ -77,15 +77,7 @@ CsrGraph CsrGraph::from_view(std::span<const std::uint64_t> offsets,
   return g;
 }
 
-const CsrGraph& CsrGraph::transpose() const {
-  std::lock_guard<std::mutex> lock(transpose_mutex_);
-  if (transpose_cache_ == nullptr) {
-    transpose_cache_ = std::make_shared<const CsrGraph>(build_transpose());
-  }
-  return *transpose_cache_;
-}
-
-CsrGraph CsrGraph::build_transpose() const {
+CsrGraph CsrGraph::transpose() const {
   const VertexId n = num_vertices();
   const std::uint64_t m = num_edges();
 

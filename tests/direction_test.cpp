@@ -469,6 +469,73 @@ TEST(Direction, TypedFoldCustomCombinerPushPullBitwise) {
   expect_typed_fold_parity<TypedFold::kCustomCombiner>();
 }
 
+// ------------------------------------------------------ mixed freshness --
+
+/// Float-sum program in which rank 0's vertices publish every superstep
+/// and every other rank's publish only when (id + superstep) % 3 == 0, so
+/// each forced-pull superstep gathers from one fully fresh source rank and
+/// from ranks whose values are partly last superstep's (or never set).
+/// The gather may skip the per-edge epoch test only for a fully fresh
+/// rank; folding a stale value in would change the float bits, and after
+/// the last publish it would reactivate vertices forever — the step guard
+/// turns that into an exception instead of a hang.
+class MixedFreshWorker : public Worker<FoldVertex> {
+ public:
+  void compute(FoldVertex& v) override {
+    if (step_num() > 20) {
+      throw std::runtime_error(
+          "MixedFreshWorker: vertices still receiving after the last publish");
+    }
+    if (step_num() == 1) {
+      v.value().x = 1.0 / static_cast<double>(v.id() + 3);
+    } else {
+      v.value().x = 0.25 + 0.5 * msg_.get_message();
+    }
+    if (step_num() > 6) {
+      v.vote_to_halt();
+      return;
+    }
+    const auto deg = v.edges().size();
+    const bool fresh = rank() == 0 || (v.id() + step_num()) % 3 == 0;
+    if (deg != 0 && fresh) {
+      msg_.publish(v.value().x / static_cast<double>(deg));
+    }
+  }
+
+ private:
+  CombinedMessage<FoldVertex, double> msg_{
+      this, make_combiner(c_sum, 0.0),
+      [](const double& share, graph::Weight w) {
+        return share * 0.75 + 1e-3 * static_cast<double>(w);
+      },
+      "mixed"};
+};
+
+TEST(Direction, MixedFreshnessPullMatchesPushBitwise) {
+  using W = MixedFreshWorker;
+  const auto extract = [](const FoldVertex& v) { return bits(v.value().x); };
+  const Mode push{DirectionMode::kPush, 1, 1, false};
+  const Mode pulls[] = {{DirectionMode::kPull, 1, 3, true},
+                        {DirectionMode::kPull, 3, 3, true}};
+  const auto dg4 = weighted_rmat_dg(4);
+  const auto dg2 = weighted_rmat_dg(2);
+  std::vector<std::uint64_t> want4, want2;
+  algo::run_collect<W>(dg4, want4, extract, pin<W>(push));
+  algo::run_collect<W>(dg2, want2, extract, pin<W>(push));
+  ASSERT_FALSE(want4.empty());
+  for (const Mode& m : pulls) {
+    std::vector<std::uint64_t> got;
+    const RunStats stats = algo::run_collect<W>(dg4, got, extract, pin<W>(m));
+    EXPECT_EQ(got, want4) << "in-process " << mode_name(m);
+    for (const std::uint8_t d : stats.direction_per_superstep) {
+      EXPECT_EQ(d, 1u);  // every superstep gathered
+    }
+    std::vector<std::uint64_t> tcp;
+    run_tcp<W>(dg2, 2, tcp, extract, pin<W>(m));
+    EXPECT_EQ(tcp, want2) << "tcp " << mode_name(m);
+  }
+}
+
 // ------------------------------------------------------------ guard rails --
 
 struct GuardValue {
