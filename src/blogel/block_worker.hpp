@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -29,6 +28,7 @@
 #include "core/types.hpp"
 #include "core/vertex.hpp"
 #include "runtime/stats.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::blogel {
 
@@ -112,10 +112,10 @@ class BlockWorker : public core::EngineBase,
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    MsgT value;
-  };
+  /// The staging record and the packed codec of its wire form
+  /// (runtime/wire.hpp).
+  using Wire = runtime::IndexedValue<MsgT>;
+  using Packed = runtime::PackedWire<MsgT>;
 
   void load() {
     this->init_columns(*env_.dg, env_.rank);
@@ -162,12 +162,8 @@ class BlockWorker : public core::EngineBase,
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& batch = staged_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          runtime::checked_u32(batch.size(), "BlockWorker wire count"));
-      if (!batch.empty()) {
-        out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
-        batch.clear();
-      }
+      Packed::write_all(out, batch, "BlockWorker wire count");
+      batch.clear();
     }
 
     const auto s1 = Clock::now();
@@ -185,17 +181,15 @@ class BlockWorker : public core::EngineBase,
     for (int from = 0; from < workers; ++from) {
       auto& in = env_.exchange->inbox(env_.rank, from);
       const auto n = in.read<std::uint32_t>();
-      wire_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
+      wire_spans_[static_cast<std::size_t>(from)] = {Packed::skip(in, n), n};
       total += n;
     }
     const auto apply = [this](std::uint32_t lo, std::uint32_t hi,
                               int slot) {
       for (const auto& [ptr, n] : wire_spans_) {
         const std::byte* p = ptr;
-        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-          Wire wire;
-          std::memcpy(&wire, p, sizeof(Wire));
+        for (std::uint32_t i = 0; i < n; ++i, p += Packed::kSize) {
+          const Wire wire = Packed::load(p);
           if (wire.lidx < lo || wire.lidx >= hi) continue;
           deliver(wire, slot);
         }

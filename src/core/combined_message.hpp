@@ -50,13 +50,15 @@
 // wire traffic), while in pull mode it just stores the value in an
 // epoch-stamped column and every destination vertex gathers f(published,
 // weight) from its in-neighbors during deserialize — rank-local edges
-// ship ZERO wire bytes; remote in-neighbors arrive via a compact
-// boundary exchange of (src lidx, value) pairs per peer rank. The
-// in-edge index is one flat PullIndex per rank (core/pull_index.hpp),
-// built in one counting pass from the rank's own adjacency and the
-// peers' edges into it, which arrive through a one-time structure
-// handshake prepended to the first pull-round payload (a localized TCP
-// rank has no other way to know its remote in-edges). The gather replays
+// ship ZERO wire bytes; remote in-neighbors arrive as each peer's
+// boundary values — the values alone, in boundary-list order, when every
+// boundary vertex published (a dense round), else packed (row, value)
+// wires. The in-edge index is one flat PullIndex per rank
+// (core/pull_index.hpp), built in one counting pass from the rank's own
+// adjacency and the peers' edges into it, which arrive through a one-time
+// CSR-style structure handshake prepended to the first pull-round payload
+// (a localized TCP rank has no other way to know its remote in-edges);
+// its source lists are the boundary lists. The gather replays
 // the push fold order exactly — per source rank a sub-fold in (src lidx,
 // edge position) order, sub-results folded in rank order — so results
 // are bitwise identical to push even for float-sum combiners.
@@ -84,6 +86,7 @@
 #include "core/pull_index.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::core {
 
@@ -169,15 +172,25 @@ class CombinedMessage : public Channel {
     expand_(*this, lidx, value);
   }
 
+  /// Values sections this rank received in pull rounds, one per peer per
+  /// round: dense ones (every boundary value, in list order) and sparse
+  /// ones ((row, value) wires).
+  [[nodiscard]] std::uint64_t dense_sections() const noexcept {
+    return dense_sections_;
+  }
+  [[nodiscard]] std::uint64_t sparse_sections() const noexcept {
+    return sparse_sections_;
+  }
+
   [[nodiscard]] bool pull_capable() const override {
     return gather_ != nullptr;
   }
 
   /// Engine announcement of this superstep's collective direction. The
   /// first pull superstep lazily builds the sender-side pull state (the
-  /// value column, the per-peer boundary lists and handshake edges, and
-  /// the rank-local edges); the index itself is built once the peers'
-  /// handshakes have arrived.
+  /// value column, the per-peer boundary lists and the encoded handshake
+  /// sections, the rank's own included); the index itself is built once
+  /// the peers' handshakes have arrived.
   void set_direction(Direction dir) override {
     direction_ = dir;
     if (dir == Direction::kPull) ensure_pull_ready();
@@ -222,7 +235,7 @@ class CombinedMessage : public Channel {
   void serialize_parallel() override {
     reset_receive_slots();
     if (direction_ == Direction::kPull) {
-      // Boundary payloads are tiny (one pair per published boundary
+      // Boundary payloads are small (at most one value per boundary
       // vertex); the rank fan-out still applies and bytes are identical.
       std::uint64_t staged = 0;
       for (const auto& b : boundary_) staged += b.size();
@@ -295,7 +308,9 @@ class CombinedMessage : public Channel {
   }
 
  private:
-  using Wire = LidxWire<ValT>;
+  /// The in-memory staging record, and the packed codec of its wire form.
+  using Staged = runtime::IndexedValue<ValT>;
+  using Wire = runtime::PackedWire<ValT>;
 
   /// Pending combined values keyed by a local index: one slot's staging
   /// for one destination rank, or the serialize merge for one rank.
@@ -308,7 +323,7 @@ class CombinedMessage : public Channel {
   /// One compute slot's staging, sharded by destination rank.
   struct Shard {
     std::vector<Partial> partial;          ///< exact combiners
-    std::vector<std::vector<Wire>> log;    ///< inexact combiners
+    std::vector<std::vector<Staged>> log;  ///< inexact combiners
   };
 
   void init_shard(Shard& s) {
@@ -337,7 +352,7 @@ class CombinedMessage : public Channel {
       }
       detail::fold_slot(p.vals, p.has, p.touched, lidx, m, combine);
     } else {
-      shard.log[to].push_back(Wire{lidx, m});
+      shard.log[to].push_back(Staged{lidx, m});
     }
   }
 
@@ -420,8 +435,10 @@ class CombinedMessage : public Channel {
     runtime::Buffer& out = w().outbox(to);
     out.write<std::uint32_t>(
         runtime::checked_u32(p.touched.size(), "CombinedMessage wire count"));
+    std::byte* at = Wire::append(out, p.touched.size());
     for (const std::uint32_t lidx : p.touched) {
-      out.write(Wire{lidx, p.vals[lidx]});
+      Wire::store(at, lidx, p.vals[lidx]);
+      at += Wire::kSize;
       p.vals[lidx] = combiner_.identity;
       p.has[lidx] = 0;
     }
@@ -461,7 +478,7 @@ class CombinedMessage : public Channel {
           }
           p.touched.clear();
           auto& log = shard.log[peer];
-          for (const Wire& wire : log) {
+          for (const Staged& wire : log) {
             detail::fold_slot(m.vals, m.has, m.touched, wire.lidx,
                               wire.value, combine);
           }
@@ -480,8 +497,7 @@ class CombinedMessage : public Channel {
     for (int from = 0; from < num_workers; ++from) {
       runtime::Buffer& in = w().inbox(from);
       const auto n = in.read<std::uint32_t>();
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
+      spans_[static_cast<std::size_t>(from)] = {Wire::skip(in, n), n};
       total += n;
     }
     return total;
@@ -494,9 +510,8 @@ class CombinedMessage : public Channel {
     with_combine_op(combiner_, [&](const auto& combine) {
       for (const auto& [ptr, n] : spans_) {
         const std::byte* p = ptr;
-        for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-          Wire wire;
-          std::memcpy(&wire, p, sizeof(Wire));
+        for (std::uint32_t i = 0; i < n; ++i, p += Wire::kSize) {
+          const Staged wire = Wire::load(p);
           if (wire.lidx < lo || wire.lidx >= hi) continue;
           detail::fold_slot(slot_, has_, touched, wire.lidx, wire.value,
                             combine);
@@ -508,63 +523,38 @@ class CombinedMessage : public Channel {
   // ---- pull protocol (DESIGN.md section 9) --------------------------------
 
   /// First pull superstep: build everything derivable from the rank's own
-  /// adjacency — the value column, the per-peer boundary vertex lists,
-  /// the per-peer handshake edge lists and the rank-local edge list the
-  /// index build buckets. Two passes: the first sizes every list, the
-  /// second fills it, so no list regrows while it fills. Works identically
-  /// on a localized TCP view: only out(rank, lidx) and the global
-  /// partition id maps are touched.
+  /// adjacency — the value column, and in one two-pass encode
+  /// (encode_pull_sections) the handshake section toward every rank with
+  /// the boundary list it names. The section toward this rank holds the
+  /// rank-local edges; the index decodes it like a peer's at build. Works
+  /// identically on a localized TCP view: only out(rank, lidx) and the
+  /// global partition id maps are touched.
   void ensure_pull_ready() {
     if (index_) return;
     const int num_workers = w().num_workers();
     const int me = w().rank();
-    const std::uint32_t n = num_local_limit();
     std::vector<std::uint32_t> counts(static_cast<std::size_t>(num_workers));
     for (int r = 0; r < num_workers; ++r) {
       counts[static_cast<std::size_t>(r)] = peer_local_count(r);
     }
     index_.emplace(name(), me, std::move(counts));
-    boundary_.assign(static_cast<std::size_t>(num_workers), {});
-    handshake_out_.assign(static_cast<std::size_t>(num_workers), {});
-
-    std::vector<std::size_t> sizes(static_cast<std::size_t>(num_workers), 0);
-    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const VertexId dst : worker_->dgraph().out(me, lidx).targets()) {
-        ++sizes[static_cast<std::size_t>(w().owner_of(dst))];
-      }
-    }
-    for (int r = 0; r < num_workers; ++r) {
-      handshake_out_[static_cast<std::size_t>(r)].reserve(
-          sizes[static_cast<std::size_t>(r)]);
-    }
-    // handshake_out_[me] collects the rank-local edges for the index. No
-    // branch in this loop tests a looked-up owner: a mispredicted one
-    // would wait out the lookup's cache miss on every edge.
-    for (std::uint32_t lidx = 0; lidx < n; ++lidx) {
-      for (const graph::Edge e : worker_->dgraph().out(me, lidx)) {
-        handshake_out_[static_cast<std::size_t>(w().owner_of(e.dst))]
-            .push_back(PullEdge{lidx, w().local_of(e.dst), e.weight});
-      }
-    }
-    for (int r = 0; r < num_workers; ++r) {
-      if (r == me) continue;
-      auto& boundary = boundary_[static_cast<std::size_t>(r)];
-      for (const PullEdge& e : handshake_out_[static_cast<std::size_t>(r)]) {
-        if (boundary.empty() || boundary.back() != e.src_lidx) {
-          boundary.push_back(e.src_lidx);  // ascending by construction
-        }
-      }
-    }
-    index_->set_own_edges(
-        std::move(handshake_out_[static_cast<std::size_t>(me)]));
+    PullSections sections = encode_pull_sections(
+        num_workers, num_local_limit(),
+        [&](std::uint32_t lidx) { return worker_->dgraph().out(me, lidx); },
+        [&](VertexId v) { return static_cast<std::size_t>(w().owner_of(v)); },
+        [&](VertexId v) { return w().local_of(v); });
+    const auto self = static_cast<std::size_t>(me);
+    index_->set_own_section(std::move(sections.bytes[self]));
+    handshake_out_ = std::move(sections.bytes);
+    boundary_ = std::move(sections.sources);
+    boundary_[self] = {};
   }
 
   /// Emit the pull-round payload for destination ranks [begin, end): for
-  /// each peer, the one-time handshake section (this rank's out-edges into
-  /// the peer, in the push fold order), then the boundary values section —
-  /// one (src lidx, value) pair per boundary vertex published this epoch.
-  /// The self payload is ZERO bytes: rank-local edges are gathered
-  /// straight from the value column, nothing rides the wire.
+  /// each peer, the one-time handshake section, then the values section
+  /// over its boundary list. The self payload is ZERO bytes: rank-local
+  /// edges are gathered straight from the value column, nothing rides
+  /// the wire.
   void emit_pull_ranks(int begin, int end) {
     const int me = w().rank();
     // The handshake rides the round that builds the index; the flag flips
@@ -575,24 +565,44 @@ class CombinedMessage : public Channel {
       const auto peer = static_cast<std::size_t>(to);
       runtime::Buffer& out = w().outbox(to);
       if (with_handshake) {
-        const auto& edges = handshake_out_[peer];
-        out.reserve(out.size() + sizeof(std::uint64_t) +
-                    edges.size() * sizeof(PullEdge) + sizeof(std::uint32_t) +
-                    boundary_[peer].size() * sizeof(Wire));
-        out.write<std::uint64_t>(edges.size());
-        if (!edges.empty()) {
-          out.write_bytes(edges.data(), edges.size() * sizeof(PullEdge));
-        }
-        handshake_out_[peer] = {};  // shipped: free it before the next fills
+        runtime::Buffer& section = handshake_out_[peer];
+        out.reserve(out.size() + section.size() + sizeof(std::uint8_t) +
+                    sizeof(std::uint32_t) +
+                    boundary_[peer].size() * Wire::kSize);
+        out.write_bytes(section.data(), section.size());
+        section = runtime::Buffer{};  // shipped: free it
       }
-      const std::size_t count_at = out.reserve_u32();
-      std::uint32_t count = 0;
-      for (const std::uint32_t lidx : boundary_[peer]) {
-        if (!index_->published(lidx)) continue;
-        out.write(Wire{lidx, index_->own_value(lidx)});
-        ++count;
+      emit_pull_values(out, boundary_[peer]);
+    }
+  }
+
+  /// One values section over `rows`, a peer's boundary list: dense — the
+  /// mode tag, then every row's value in list order — when every row
+  /// published this epoch, else sparse: the tag, a count and one packed
+  /// (row position, value) wire per published row.
+  void emit_pull_values(runtime::Buffer& out,
+                        const std::vector<std::uint32_t>& rows) {
+    const PullIndex<ValT>& index = *index_;
+    const auto published = static_cast<std::size_t>(std::count_if(
+        rows.begin(), rows.end(),
+        [&](std::uint32_t lidx) { return index.published(lidx); }));
+    if (published == rows.size()) {
+      out.write<std::uint8_t>(pull_wire::kDense);
+      std::byte* p = out.extend(rows.size() * sizeof(ValT));
+      for (const std::uint32_t lidx : rows) {
+        std::memcpy(p, &index.own_value(lidx), sizeof(ValT));
+        p += sizeof(ValT);
       }
-      out.patch_u32(count_at, count);
+      return;
+    }
+    out.write<std::uint8_t>(pull_wire::kSparse);
+    out.write<std::uint32_t>(
+        runtime::checked_u32(published, "CombinedMessage sparse round count"));
+    std::byte* p = Wire::append(out, published);
+    for (std::uint32_t row = 0; row < rows.size(); ++row) {
+      if (!index.published(rows[row])) continue;
+      Wire::store(p, row, index.own_value(rows[row]));
+      p += Wire::kSize;
     }
   }
 
@@ -608,7 +618,7 @@ class CombinedMessage : public Channel {
       if (from == me) continue;
       runtime::Buffer& in = w().inbox(from);
       if (first) index_->read_handshake(in, from);
-      index_->read_values(in, from);
+      ++(index_->read_values(in, from) ? dense_sections_ : sparse_sections_);
     }
     if (first) index_->build();
     index_->settle_own_freshness();
@@ -663,7 +673,9 @@ class CombinedMessage : public Channel {
   Direction direction_ = Direction::kPush;
   std::optional<PullIndex<ValT>> index_;  ///< set on the first pull superstep
   std::vector<std::vector<std::uint32_t>> boundary_;  ///< per peer, lidx asc
-  std::vector<std::vector<PullEdge>> handshake_out_;  ///< per peer, until sent
+  std::vector<runtime::Buffer> handshake_out_;  ///< per peer, until sent
+  std::uint64_t dense_sections_ = 0;
+  std::uint64_t sparse_sections_ = 0;
 };
 
 }  // namespace pregel::core

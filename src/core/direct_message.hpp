@@ -15,7 +15,6 @@
 // in-payload order), exactly the sequential one.
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -24,6 +23,7 @@
 #include "core/channel.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::core {
 
@@ -94,7 +94,7 @@ class DirectMessage : public Channel {
       runtime::Buffer& in = w().inbox(from);
       const auto n = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < n; ++i) {
-        apply(in.read<Wire>(), 0);
+        apply(Packed::read(in), 0);
       }
     }
   }
@@ -106,8 +106,7 @@ class DirectMessage : public Channel {
     for (int from = 0; from < num_workers; ++from) {
       runtime::Buffer& in = w().inbox(from);
       const auto n = in.read<std::uint32_t>();
-      spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-      in.skip(std::size_t{n} * sizeof(Wire));
+      spans_[static_cast<std::size_t>(from)] = {Packed::skip(in, n), n};
       total += n;
     }
     w().run_comm_partitioned(
@@ -140,10 +139,10 @@ class DirectMessage : public Channel {
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;  ///< receiver's local index (ids are 32-bit too)
-    ValT value;
-  };
+  /// The staging record (receiver's local index, value) and the packed
+  /// codec of its wire form.
+  using Wire = runtime::IndexedValue<ValT>;
+  using Packed = runtime::PackedWire<ValT>;
 
   /// One compute chunk's staged wires, bucketed by destination rank.
   using Shard = std::vector<std::vector<Wire>>;
@@ -169,13 +168,16 @@ class DirectMessage : public Channel {
       runtime::Buffer& out = w().outbox(to);
       std::size_t count = 0;
       for (const Shard& s : shards_) count += s[peer].size();
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(count));
+      out.write<std::uint32_t>(
+          runtime::checked_u32(count, "DirectMessage wire count"));
+      std::byte* p = Packed::append(out, count);
       for (Shard& s : shards_) {
         auto& batch = s[peer];
-        if (!batch.empty()) {
-          out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
-          batch.clear();
+        for (const Wire& wire : batch) {
+          Packed::store(p, wire.lidx, wire.value);
+          p += Packed::kSize;
         }
+        batch.clear();
       }
     }
   }
@@ -194,9 +196,8 @@ class DirectMessage : public Channel {
     for (int from = 0; from < num_workers; ++from) {
       const auto& [ptr, n] = spans_[static_cast<std::size_t>(from)];
       const std::byte* p = ptr;
-      for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-        Wire wire;
-        std::memcpy(&wire, p, sizeof(Wire));
+      for (std::uint32_t i = 0; i < n; ++i, p += Packed::kSize) {
+        const Wire wire = Packed::load(p);
         if (wire.lidx < lo || wire.lidx >= hi) continue;
         apply(wire, delivery_slot);
       }

@@ -35,6 +35,14 @@
 
 namespace pregel::core {
 
+/// A run was still active when it reached its superstep bound
+/// (PGCH_MAX_SUPERSTEPS): a program that never halts — or a channel fault
+/// that keeps reactivating vertices — fails instead of spinning.
+class SuperstepLimitError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class EngineBase {
  public:
   virtual ~EngineBase() = default;
@@ -193,6 +201,7 @@ class EngineBase {
       stats_.bytes_per_superstep.push_back(
           env_.exchange->sent_bytes(env_.rank) - sent_before);
       if (!env_.transport->vote_any(env_.rank, any_local_active)) break;
+      check_superstep_bound();
       maybe_checkpoint();
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -238,6 +247,10 @@ class EngineBase {
 
   /// Hook for engine-specific stats finalization after the loop.
   virtual void finish_stats() {}
+
+  /// What is still running on this rank at the end of a superstep, for
+  /// the superstep-bound error ("" when the engine cannot say more).
+  [[nodiscard]] virtual std::string pending_work() const { return ""; }
 
   // ---- checkpoint hooks (DESIGN.md section 12) ---------------------------
   // Engines that support checkpointing freeze every bit of state a
@@ -306,6 +319,20 @@ class EngineBase {
                  "superstep %d\n",
                  env_.rank, epoch, epoch + 1);
     return epoch;
+  }
+
+  /// Past PGCH_MAX_SUPERSTEPS with the team still active, throw. The
+  /// quiescence vote just said "continue" on every rank, so every rank
+  /// throws at the same superstep and none waits on a peer.
+  void check_superstep_bound() const {
+    const int bound = env_.config->max_supersteps;
+    if (bound <= 0 || step_ < bound) return;
+    const std::string pending = pending_work();
+    throw SuperstepLimitError(
+        "rank " + std::to_string(env_.rank) +
+        ": still active after superstep " + std::to_string(step_) +
+        " (PGCH_MAX_SUPERSTEPS=" + std::to_string(bound) + ")" +
+        (pending.empty() ? "" : ": " + pending));
   }
 
   /// Two-phase checkpoint commit at the superstep boundary (only reached

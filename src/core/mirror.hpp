@@ -51,6 +51,7 @@
 #include "core/channel.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::core {
 
@@ -170,10 +171,8 @@ class MirrorScatter : public Channel {
     std::uint32_t dst;  ///< local index of the target (receiving rank)
   };
 
-  /// Raw bytes one direct pair occupies on the wire (written field by
-  /// field, so no struct padding travels).
-  static constexpr std::size_t kDirectWireBytes =
-      sizeof(std::uint32_t) + sizeof(ValT);
+  /// Codec of the direct (dst lidx, value) pairs.
+  using DirectWire = runtime::PackedWire<ValT>;
 
   void finalize() {
     const auto num_workers = static_cast<std::size_t>(w().num_workers());
@@ -254,7 +253,7 @@ class MirrorScatter : public Channel {
         handshake_sent_[static_cast<std::size_t>(to)] = 1;
       }
       seg_[static_cast<std::size_t>(to)] = out.extend(
-          to_peer.size() * sizeof(ValT) + to_direct.size() * kDirectWireBytes);
+          to_peer.size() * sizeof(ValT) + to_direct.size() * DirectWire::kSize);
       total_sends += to_peer.size() + to_direct.size();
     }
 
@@ -282,10 +281,8 @@ class MirrorScatter : public Channel {
         p += sizeof(ValT);
       }
       for (const DirectSend& d : direct_[static_cast<std::size_t>(to)]) {
-        std::memcpy(p, &d.dst, sizeof(std::uint32_t));
-        p += sizeof(std::uint32_t);
-        std::memcpy(p, &vals_[d.src], sizeof(ValT));
-        p += sizeof(ValT);
+        DirectWire::store(p, d.dst, vals_[d.src]);
+        p += DirectWire::kSize;
       }
     }
   }
@@ -320,8 +317,8 @@ class MirrorScatter : public Channel {
       }
       spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
       in.skip(std::size_t{n} * sizeof(ValT));
-      direct_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), nd};
-      in.skip(std::size_t{nd} * kDirectWireBytes);
+      direct_spans_[static_cast<std::size_t>(from)] = {
+          DirectWire::skip(in, nd), nd};
       for (std::uint32_t i = 0; i < n; ++i) total_targets += table[i].size();
       total_targets += nd;
     }
@@ -354,13 +351,10 @@ class MirrorScatter : public Channel {
         const auto& [dptr, nd] =
             direct_spans_[static_cast<std::size_t>(from)];
         const std::byte* q = dptr;
-        for (std::uint32_t j = 0; j < nd; ++j, q += kDirectWireBytes) {
-          std::uint32_t lidx;
-          std::memcpy(&lidx, q, sizeof(std::uint32_t));
-          if (lidx < lo || lidx >= hi) continue;
-          ValT val;
-          std::memcpy(&val, q + sizeof(std::uint32_t), sizeof(ValT));
-          apply(lidx, val);
+        for (std::uint32_t j = 0; j < nd; ++j, q += DirectWire::kSize) {
+          const auto wire = DirectWire::load(q);
+          if (wire.lidx < lo || wire.lidx >= hi) continue;
+          apply(wire.lidx, wire.value);
         }
       }
     });

@@ -22,7 +22,6 @@
 // sequential fallback (received updates feed the BFS queue).
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -32,6 +31,7 @@
 #include "core/channel.hpp"
 #include "core/types.hpp"
 #include "core/worker.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::core {
 
@@ -122,8 +122,7 @@ class PropagationW : public Channel {
         runtime::Buffer& in = w().inbox(from);
         const auto n = in.read<std::uint32_t>();
         for (std::uint32_t i = 0; i < n; ++i) {
-          const auto lidx = in.read<std::uint32_t>();
-          const auto val = in.read<ValT>();
+          const auto [lidx, val] = Wire::read(in);
           const ValT nv = combine(vals_[lidx], val);
           if (nv != vals_[lidx]) {
             vals_[lidx] = nv;
@@ -206,7 +205,7 @@ class PropagationW : public Channel {
       out.write<std::uint32_t>(runtime::checked_u32(
           acc.touched.size(), "PropagationW update count"));
       seg_[static_cast<std::size_t>(to)] =
-          out.extend(acc.touched.size() * kEntryBytes);
+          Wire::append(out, acc.touched.size());
       total += acc.touched.size();
     }
     if (!parallel) {
@@ -225,10 +224,8 @@ class PropagationW : public Channel {
       auto& acc = staged_remote_[static_cast<std::size_t>(to)];
       std::byte* p = seg_[static_cast<std::size_t>(to)];
       for (const std::uint32_t lidx : acc.touched) {
-        std::memcpy(p, &lidx, sizeof(std::uint32_t));
-        std::memcpy(p + sizeof(std::uint32_t), &acc.vals[lidx],
-                    sizeof(ValT));
-        p += kEntryBytes;
+        Wire::store(p, lidx, acc.vals[lidx]);
+        p += Wire::kSize;
         acc.vals[lidx] = combiner_.identity;
         acc.has[lidx] = 0;
       }
@@ -236,8 +233,8 @@ class PropagationW : public Channel {
     }
   }
 
-  static constexpr std::size_t kEntryBytes =
-      sizeof(std::uint32_t) + sizeof(ValT);
+  /// Codec of the packed (lidx, value) update records.
+  using Wire = runtime::PackedWire<ValT>;
 
   Worker<VertexT>* worker_;
   Combiner<ValT> combiner_;

@@ -205,6 +205,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
 
   bool superstep() override {
     const auto c0 = Clock::now();
+    step_channel_bytes_.assign(channels_.size(), 0);
     begin_superstep();
     stats_.note_active(this->active_.count());
     decide_direction();
@@ -249,6 +250,21 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
     stats_.frame_bytes = env_.exchange->frame_overhead_bytes(env_.rank);
     stats_.chunks_sent = env_.exchange->chunks_sent(env_.rank);
     stats_.chunks_received = env_.exchange->chunks_received(env_.rank);
+  }
+
+  /// The active vertices and the channels that carried payload this
+  /// superstep — what a run that will not halt keeps doing.
+  [[nodiscard]] std::string pending_work() const override {
+    std::string s = std::to_string(this->active_.count()) +
+                    " active vertices; channel payload this superstep:";
+    bool any = false;
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
+      if (step_channel_bytes_[i] == 0) continue;
+      s += " '" + channels_[i]->name() + "' " +
+           std::to_string(step_channel_bytes_[i]) + " B";
+      any = true;
+    }
+    return any ? s : s + " none";
   }
 
   // ---- checkpoint/restore (DESIGN.md section 12) -------------------------
@@ -586,6 +602,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
         const std::uint64_t payload =
             env_.exchange->end_frames(env_.rank, static_cast<int>(i));
         stats_.bytes_by_channel[channels_[i]->name()] += payload;
+        step_channel_bytes_[i] += payload;
         round_payload += payload;
       }
     }
@@ -667,6 +684,7 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
       const std::uint64_t payload =
           env_.exchange->end_frames(env_.rank, static_cast<int>(i));
       stats_.bytes_by_channel[channels_[i]->name()] += payload;
+      step_channel_bytes_[i] += payload;
       round_payload += payload;
       serialize_s += seconds_between(s0, Clock::now());
       env_.exchange->pipeline_flush(env_.rank, static_cast<int>(i),
@@ -714,6 +732,10 @@ class Worker : public WorkerBase, public VertexColumns<VertexT> {
   /// Persists across supersteps (round 1 of a superstep predicts from the
   /// previous superstep's last round).
   std::uint64_t last_round_payload_bytes_ = 0;
+
+  /// Payload bytes each channel shipped this superstep (for
+  /// pending_work()).
+  std::vector<std::uint64_t> step_channel_bytes_;
 
   /// Previous superstep's direction — the hysteresis state of the
   /// adaptive heuristic (collective inputs, so identical on every rank).

@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
@@ -48,6 +47,7 @@
 #include "core/types.hpp"
 #include "core/vertex.hpp"
 #include "runtime/stats.hpp"
+#include "runtime/wire.hpp"
 
 namespace pregel::plus {
 
@@ -186,10 +186,10 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
   }
 
  private:
-  struct Wire {
-    std::uint32_t lidx;
-    MsgT value;
-  };
+  /// Staging records; on the wire every (u32, value) pair is packed
+  /// field by field (runtime/wire.hpp), as Pregel+'s serializer writes it.
+  using Wire = runtime::IndexedValue<MsgT>;
+  using Packed = runtime::PackedWire<MsgT>;
   struct GhostWire {
     VertexId src;
     MsgT value;
@@ -286,12 +286,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& batch = staged_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          runtime::checked_u32(batch.size(), "PPWorker wire count"));
-      if (!batch.empty()) {
-        out.write_bytes(batch.data(), batch.size() * sizeof(Wire));
-        batch.clear();
-      }
+      Packed::write_all(out, batch, "PPWorker wire count");
+      batch.clear();
       // Ghost registrations.
       auto& regs = staged_reg_[static_cast<std::size_t>(to)];
       out.write<std::uint32_t>(
@@ -303,12 +299,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       regs.clear();
       // Ghost broadcast values.
       auto& ghosts = staged_ghost_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          runtime::checked_u32(ghosts.size(), "PPWorker ghost count"));
-      if (!ghosts.empty()) {
-        out.write_bytes(ghosts.data(), ghosts.size() * sizeof(GhostWire));
-        ghosts.clear();
-      }
+      Packed::write_all(out, ghosts, "PPWorker ghost count");
+      ghosts.clear();
       // Aggregator partials.
       for (int s = 0; s < kNumAggSlots; ++s) {
         out.write<std::uint64_t>(agg_partial_[static_cast<std::size_t>(s)]);
@@ -336,13 +328,10 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& in = env_.exchange->inbox(env_.rank, from);
       const auto n = in.read<std::uint32_t>();
       if (par_deliver) {
-        wire_spans_[static_cast<std::size_t>(from)] = {in.read_ptr(), n};
-        in.skip(std::size_t{n} * sizeof(Wire));
+        wire_spans_[static_cast<std::size_t>(from)] = {Packed::skip(in, n), n};
         total_wires += n;
       } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          deliver(in.read<Wire>(), 0);
-        }
+        for (std::uint32_t i = 0; i < n; ++i) deliver(Packed::read(in), 0);
       }
       const auto nreg = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < nreg; ++i) {
@@ -351,14 +340,14 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       }
       const auto nghost = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < nghost; ++i) {
-        const auto gw = in.read<GhostWire>();
+        const auto [src, value] = Packed::read(in);
         // Hash lookup per broadcast — the ghost-mode receiver cost.
-        const auto it = mirror_table_.find(gw.src);
+        const auto it = mirror_table_.find(src);
         if (it == mirror_table_.end()) {
           throw std::logic_error("PPWorker: ghost value before registration");
         }
         for (const std::uint32_t lidx : it->second) {
-          deliver(Wire{lidx, gw.value}, 0);
+          deliver(Wire{lidx, value}, 0);
         }
       }
       for (int s = 0; s < kNumAggSlots; ++s) {
@@ -396,9 +385,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
         [this](std::uint32_t lo, std::uint32_t hi, int slot) {
           for (const auto& [ptr, n] : wire_spans_) {
             const std::byte* p = ptr;
-            for (std::uint32_t i = 0; i < n; ++i, p += sizeof(Wire)) {
-              Wire wire;
-              std::memcpy(&wire, p, sizeof(Wire));
+            for (std::uint32_t i = 0; i < n; ++i, p += Packed::kSize) {
+              const Wire wire = Packed::load(p);
               if (wire.lidx < lo || wire.lidx >= hi) continue;
               deliver(wire, slot);
             }
@@ -458,12 +446,9 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
     for (int to = 0; to < workers; ++to) {
       auto& out = env_.exchange->outbox(env_.rank, to);
       auto& replies = pending_replies_[static_cast<std::size_t>(to)];
-      out.write<std::uint32_t>(
-          runtime::checked_u32(replies.size(), "PPWorker reply count"));
-      if (!replies.empty()) {
-        out.write_bytes(replies.data(), replies.size() * sizeof(RespWire));
-        replies.clear();
-      }
+      runtime::PackedWire<RespT>::write_all(out, replies,
+                                            "PPWorker reply count");
+      replies.clear();
     }
 
     const auto s1 = Clock::now();
@@ -474,8 +459,8 @@ class PPWorker : public core::EngineBase, public core::VertexColumns<VertexT> {
       auto& in = env_.exchange->inbox(env_.rank, from);
       const auto n = in.read<std::uint32_t>();
       for (std::uint32_t i = 0; i < n; ++i) {
-        const auto rw = in.read<RespWire>();
-        responses_[rw.id] = rw.value;  // hash insert per response
+        const auto [id, value] = runtime::PackedWire<RespT>::read(in);
+        responses_[id] = value;  // hash insert per response
       }
     }
     stats_.serialize_seconds += seconds_between(s0, s1);

@@ -91,6 +91,8 @@ struct FaultSpec {
     "MirrorScatter threshold (0 = mirror all)")                               \
   X("PGCH_SIM_NET_MBPS", sim_net_mbps, double, 0.0, in(0, 1e9),               \
     "simulated link MB/s (0 = off)")                                          \
+  X("PGCH_MAX_SUPERSTEPS", max_supersteps, int, 0, in(0, kMaxInt),          \
+    "fail a run still active after this superstep (0 = no bound)")           \
   /* graph loading */                                                         \
   X("PGCH_PARTITION", partition, std::optional<PartitionKind>, std::nullopt,  \
     {}, "range, degree or hash")                                              \

@@ -160,6 +160,15 @@ TEST(RunConfig, ChunkBytesStillClamps) {
   EXPECT_EQ(chunk("99999999999999999999999"), 8 << 20);
 }
 
+TEST(RunConfig, MaxSuperstepsDefaultsToUnbounded) {
+  EXPECT_EQ(RunConfig::from_vars({}).max_supersteps, 0);
+  EXPECT_EQ(
+      RunConfig::from_vars({{"PGCH_MAX_SUPERSTEPS", "500"}}).max_supersteps,
+      500);
+  EXPECT_THROW(RunConfig::from_vars({{"PGCH_MAX_SUPERSTEPS", "-1"}}),
+               std::invalid_argument);
+}
+
 TEST(RunConfig, CommThreadsFollowComputeThreadsUnlessSet) {
   const auto c = RunConfig::from_vars({{"PGCH_COMPUTE_THREADS", "3"}});
   EXPECT_EQ(c.comm_threads, std::thread::hardware_concurrency() == 1 ? 1 : 3);

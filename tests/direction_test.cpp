@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -475,12 +476,24 @@ TEST(Direction, TypedFoldCustomCombinerPushPullBitwise) {
 /// and every other rank's publish only when (id + superstep) % 3 == 0, so
 /// each forced-pull superstep gathers from one fully fresh source rank and
 /// from ranks whose values are partly last superstep's (or never set).
+/// Pull values sections the MixedFreshWorkers of a run received, summed
+/// over its ranks as each worker is destroyed: dense (every boundary value)
+/// and sparse ((row, value) wires).
+std::atomic<std::uint64_t> g_dense_sections{0};
+std::atomic<std::uint64_t> g_sparse_sections{0};
+
 /// The gather may skip the per-edge epoch test only for a fully fresh
 /// rank; folding a stale value in would change the float bits, and after
 /// the last publish it would reactivate vertices forever — the step guard
-/// turns that into an exception instead of a hang.
+/// turns that into an exception instead of a hang. Rank 0 publishes every
+/// vertex (its peers receive dense rounds), the others a third (sparse).
 class MixedFreshWorker : public Worker<FoldVertex> {
  public:
+  ~MixedFreshWorker() override {
+    g_dense_sections += msg_.dense_sections();
+    g_sparse_sections += msg_.sparse_sections();
+  }
+
   void compute(FoldVertex& v) override {
     if (step_num() > 20) {
       throw std::runtime_error(
@@ -525,8 +538,13 @@ TEST(Direction, MixedFreshnessPullMatchesPushBitwise) {
   ASSERT_FALSE(want4.empty());
   for (const Mode& m : pulls) {
     std::vector<std::uint64_t> got;
+    g_dense_sections = 0;
+    g_sparse_sections = 0;
     const RunStats stats = algo::run_collect<W>(dg4, got, extract, pin<W>(m));
     EXPECT_EQ(got, want4) << "in-process " << mode_name(m);
+    // Both values encodings ran: dense from rank 0, sparse from the rest.
+    EXPECT_GT(g_dense_sections.load(), 0u) << mode_name(m);
+    EXPECT_GT(g_sparse_sections.load(), 0u) << mode_name(m);
     for (const std::uint8_t d : stats.direction_per_superstep) {
       EXPECT_EQ(d, 1u);  // every superstep gathered
     }

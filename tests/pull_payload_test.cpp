@@ -1,14 +1,17 @@
 // Damage tests for the pull payload decoder (DESIGN.md section 9). A pull
-// round's payload is peer data: a u64 handshake edge count, that many
-// {src lidx, dst lidx, weight} edges (first pull round only), a u32
-// boundary value count and that many {lidx, value} wires. Every field is
-// damaged in turn on a real 2-rank run — both ranks' inboxes the same way,
-// so both ranks fail in the same phase — and the channel must throw
-// ProtocolError naming itself and the peer: never allocate a count it has
-// not checked, write out of bounds, or build a corrupt index in silence.
-// A seeded sweep then mutates a captured payload and feeds it to the
-// decoder directly: it must either accept the bytes or raise
-// ProtocolError, and must never crash (run it under ASan).
+// round's payload is peer data. The first round carries a handshake — a
+// version/flags byte, a u32 source count, (src lidx, degree) per source,
+// a u32 target per edge and, when flagged, a u32 weight per edge — and
+// every round a values section: a mode byte, then either every boundary
+// value in handshake order (dense) or a u32 count and packed (row, value)
+// wires (sparse). Every field is damaged in turn on a real 2-rank run —
+// both ranks' inboxes the same way, so both ranks fail in the same phase —
+// and the channel must throw ProtocolError naming itself and the peer:
+// never allocate a count it has not checked, write out of bounds, or
+// build a corrupt index in silence. Seeded sweeps then mutate captured
+// payloads — a first round, a steady dense round and a sparse round — and
+// feed them to the decoder directly: each must either accept the bytes or
+// raise ProtocolError, and must never crash (run it under ASan).
 
 #include <gtest/gtest.h>
 
@@ -36,11 +39,12 @@
 namespace {
 
 using namespace pregel;
-using core::PullEdge;
 using runtime::Buffer;
 using runtime::ProtocolError;
+namespace pw = core::pull_wire;
 
-using Wire = core::LidxWire<double>;
+constexpr std::size_t kFrame = sizeof(runtime::ChannelFrame);
+constexpr std::size_t kWire = runtime::PackedWire<double>::kSize;
 
 /// In-process transport that hands each rank's peer inboxes to a hook
 /// right after every exchange (each rank only touches its own inboxes,
@@ -85,6 +89,11 @@ class HookTransport final : public runtime::Transport {
   std::vector<int> rounds_;
 };
 
+/// The exchange rounds of a PullRank run (one per superstep).
+constexpr int kHandshakeRound = 0;  ///< superstep 1: handshake + dense
+constexpr int kSparseRound = 1;     ///< superstep 2: every third id silent
+constexpr int kDenseRound = 2;      ///< superstep 3: steady dense round
+
 /// Forced-pull PageRank over one pull-capable channel, so a peer inbox
 /// holds exactly one frame: the "pr" channel's pull payload.
 class PullRank : public core::Worker<algo::PRVertex> {
@@ -97,6 +106,7 @@ class PullRank : public core::Worker<algo::PRVertex> {
       v.vote_to_halt();
       return;
     }
+    if (step_num() == 2 && v.id() % 3 == 0) return;
     const auto edges = v.edges();
     if (!edges.empty()) {
       msg_.publish(v.value().rank / static_cast<double>(edges.size()));
@@ -112,20 +122,15 @@ class PullRank : public core::Worker<algo::PRVertex> {
       "pr"};
 };
 
-/// Weighted R-MAT on 2 ranks (hash partition), with global vertices 0 and
-/// 1 — local index 0 on each rank — stripped of out-edges, so each rank
-/// owns a row no handshake edge references.
+/// Weighted R-MAT on 2 ranks (hash partition), so handshakes carry the
+/// weight array.
 graph::DistributedGraph test_graph() {
   graph::RmatOptions opts;
   opts.num_vertices = 1u << 9;
   opts.num_edges = 1u << 12;
   opts.weighted = true;
   opts.seed = 5;
-  const graph::Graph full = graph::rmat(opts);
-  graph::Graph g(full.num_vertices());
-  for (graph::VertexId u = 2; u < full.num_vertices(); ++u) {
-    for (const graph::Edge& e : full.out(u)) g.add_edge(u, e.dst, e.weight);
-  }
+  const graph::Graph g = graph::rmat(opts);
   return graph::DistributedGraph(g, graph::hash_partition(g.num_vertices(), 2));
 }
 
@@ -141,26 +146,6 @@ void run_team(const graph::DistributedGraph& dg, HookTransport::Hook hook) {
   });
 }
 
-/// Where the fields of one first-round pull payload sit, relative to the
-/// start of the peer inbox (past the frame header).
-struct Layout {
-  std::size_t edge_count_at = sizeof(runtime::ChannelFrame);
-  std::uint64_t edges = 0;
-  std::size_t value_count_at = 0;
-  std::uint32_t values = 0;
-  std::size_t end = 0;
-
-  [[nodiscard]] std::size_t edge_at(std::uint64_t i) const {
-    return edge_count_at + sizeof(std::uint64_t) + i * sizeof(PullEdge);
-  }
-  [[nodiscard]] std::size_t wire_at(std::uint32_t i) const {
-    return value_count_at + sizeof(std::uint32_t) + i * sizeof(Wire);
-  }
-};
-
-/// The inbox bytes are the test's to damage: take them writable.
-std::byte* bytes_of(Buffer& in) { return const_cast<std::byte*>(in.read_ptr()); }
-
 template <typename T>
 T load(const std::byte* p, std::size_t at) {
   T v;
@@ -172,30 +157,96 @@ void store(std::byte* p, std::size_t at, const T& v) {
   std::memcpy(p + at, &v, sizeof(T));
 }
 
-Layout parse(const std::byte* p) {
+/// Where the fields of one pull payload sit, relative to the start of the
+/// peer inbox (the frame header comes first).
+struct Layout {
+  bool handshake = false;
+  std::uint32_t sources = 0;  ///< handshake source count (= boundary rows)
+  std::uint64_t edges = 0;    ///< handshake degree sum
+  bool weighted = false;
+  std::size_t mode_at = kFrame;
+  std::uint8_t mode = 0;
+  std::uint32_t count = 0;  ///< values the section carries
+  std::size_t end = 0;
+
+  static constexpr std::size_t tag_at = kFrame;
+  static constexpr std::size_t source_count_at = tag_at + 1;
+  [[nodiscard]] static std::size_t source_at(std::uint32_t i) {
+    return source_count_at + sizeof(std::uint32_t) + i * pw::kSourceBytes;
+  }
+  [[nodiscard]] static std::size_t degree_at(std::uint32_t i) {
+    return source_at(i) + sizeof(std::uint32_t);
+  }
+  [[nodiscard]] std::size_t target_at(std::uint64_t k) const {
+    return source_at(sources) + k * sizeof(std::uint32_t);
+  }
+  [[nodiscard]] std::size_t count_at() const { return mode_at + 1; }
+  [[nodiscard]] std::size_t value_at(std::uint32_t i) const {
+    return mode_at + 1 + i * sizeof(double);
+  }
+  [[nodiscard]] std::size_t wire_at(std::uint32_t i) const {
+    return count_at() + sizeof(std::uint32_t) + i * kWire;
+  }
+};
+
+/// Parse a payload; a round without a handshake needs the peer's boundary
+/// row count from its first round.
+Layout parse(const std::byte* p, bool handshake, std::uint32_t rows) {
   Layout l;
-  l.edges = load<std::uint64_t>(p, l.edge_count_at);
-  l.value_count_at = l.edge_at(l.edges);
-  l.values = load<std::uint32_t>(p, l.value_count_at);
-  l.end = l.wire_at(l.values);
+  l.handshake = handshake;
+  if (handshake) {
+    l.weighted = (load<std::uint8_t>(p, Layout::tag_at) & pw::kWeighted) != 0;
+    l.sources = load<std::uint32_t>(p, Layout::source_count_at);
+    for (std::uint32_t i = 0; i < l.sources; ++i) {
+      l.edges += load<std::uint32_t>(p, Layout::degree_at(i));
+    }
+    l.mode_at = l.target_at(l.edges * (l.weighted ? 2 : 1));
+  } else {
+    l.sources = rows;
+  }
+  l.mode = load<std::uint8_t>(p, l.mode_at);
+  if (l.mode == pw::kDense) {
+    l.count = l.sources;
+    l.end = l.value_at(l.count);
+  } else {
+    l.count = load<std::uint32_t>(p, l.count_at());
+    l.end = l.wire_at(l.count);
+  }
   return l;
 }
 
-/// One damage: rewrite a field of a parsed first-round payload, given the
-/// receiving rank's and the sending rank's local vertex counts.
-using Damage = std::function<void(std::byte* p, const Layout& l,
+/// The inbox bytes are the test's to damage: take them writable.
+std::byte* bytes_of(Buffer& in) {
+  return const_cast<std::byte*>(in.read_ptr());
+}
+
+/// Move the end of the inbox's frame by `delta` bytes — appending zero
+/// bytes when it grows — so the channel reads a shorter or longer payload.
+void resize_frame(Buffer& in, std::int64_t delta) {
+  if (delta > 0) in.extend(static_cast<std::size_t>(delta));
+  std::byte* p = bytes_of(in);
+  const auto len = load<std::uint32_t>(p, sizeof(std::uint32_t));
+  store<std::uint32_t>(p, sizeof(std::uint32_t),
+                       static_cast<std::uint32_t>(len + delta));
+}
+
+/// One damage to a parsed payload in a rank's inbox, given the receiving
+/// rank's and the sending rank's local vertex counts.
+using Damage = std::function<void(Buffer& in, const Layout& l,
                                   std::uint32_t n_me, std::uint32_t n_from)>;
 
-/// Run the team with `damage` applied to every peer inbox of the first
-/// (handshake) round; returns the what() of the ProtocolError the run
-/// raised, or "" if none was raised.
-std::string run_damaged(const Damage& damage) {
+/// Run the team with `damage` applied to every peer inbox of exchange
+/// round `round`; returns the what() of the ProtocolError the run raised,
+/// or "" if none was raised.
+std::string run_damaged(int round, const Damage& damage) {
   const auto dg = test_graph();
+  std::vector<std::uint32_t> rows(2, 0);  // per receiving rank
   try {
-    run_team(dg, [&](int rank, int round, int from, Buffer& in) {
-      if (round != 0) return;
-      std::byte* p = bytes_of(in);
-      damage(p, parse(p), dg.num_local(rank), dg.num_local(from));
+    run_team(dg, [&](int rank, int r, int from, Buffer& in) {
+      auto& my_rows = rows[static_cast<std::size_t>(rank)];
+      const Layout l = parse(bytes_of(in), r == kHandshakeRound, my_rows);
+      if (r == kHandshakeRound) my_rows = l.sources;
+      if (r == round) damage(in, l, dg.num_local(rank), dg.num_local(from));
     });
   } catch (const ProtocolError& e) {
     return e.what();
@@ -203,119 +254,242 @@ std::string run_damaged(const Damage& damage) {
   return "";
 }
 
-void expect_rejected(const Damage& damage, const std::string& field) {
-  const std::string what = run_damaged(damage);
+void expect_rejected(int round, const Damage& damage,
+                     const std::string& field) {
+  const std::string what = run_damaged(round, damage);
   ASSERT_FALSE(what.empty()) << field << ": damage was accepted";
   EXPECT_NE(what.find("'pr'"), std::string::npos) << field << ": " << what;
   EXPECT_NE(what.find("from rank"), std::string::npos) << field << ": " << what;
 }
 
+/// A damage that rewrites one field of the payload bytes.
+Damage poke(std::function<void(std::byte* p, const Layout& l,
+                               std::uint32_t n_me, std::uint32_t n_from)>
+                edit) {
+  return [edit = std::move(edit)](Buffer& in, const Layout& l,
+                                  std::uint32_t n_me, std::uint32_t n_from) {
+    edit(bytes_of(in), l, n_me, n_from);
+  };
+}
+
 // ------------------------------------------------------ field by field --
 
 TEST(PullPayload, UndamagedRunsClean) {
-  std::vector<Layout> seen;
+  std::vector<std::pair<int, Layout>> seen;
   std::mutex mu;
-  EXPECT_EQ(run_damaged([&](std::byte* p, const Layout& l, std::uint32_t,
-                            std::uint32_t) {
-              const std::lock_guard<std::mutex> lock(mu);
-              seen.push_back(l);
-              (void)p;
-            }),
-            "");
-  ASSERT_EQ(seen.size(), 2u);
-  for (const Layout& l : seen) {
-    EXPECT_GT(l.edges, 1u);   // a real handshake...
-    EXPECT_GT(l.values, 1u);  // ...and real boundary values
+  for (const int round : {kHandshakeRound, kSparseRound, kDenseRound}) {
+    EXPECT_EQ(run_damaged(round,
+                          [&](Buffer& in, const Layout& l, std::uint32_t,
+                              std::uint32_t) {
+                            const std::lock_guard<std::mutex> lock(mu);
+                            seen.emplace_back(round, l);
+                            // The layout accounts for the whole frame.
+                            EXPECT_EQ(l.end, kFrame + load<std::uint32_t>(
+                                                          bytes_of(in), 4));
+                          }),
+              "");
+  }
+  ASSERT_EQ(seen.size(), 6u);
+  for (const auto& [round, l] : seen) {
+    EXPECT_GT(l.sources, 1u);
+    if (round == kHandshakeRound) {
+      EXPECT_TRUE(l.handshake);
+      EXPECT_TRUE(l.weighted);        // a real weighted handshake...
+      EXPECT_GT(l.edges, l.sources);  // ...of several edges per source
+    }
+    if (round == kSparseRound) {
+      EXPECT_EQ(l.mode, pw::kSparse);
+      EXPECT_GT(l.count, 1u);  // some boundary vertices published...
+      EXPECT_LT(l.count, l.sources);  // ...and some did not
+    } else {
+      EXPECT_EQ(l.mode, pw::kDense);  // every boundary vertex published
+      EXPECT_EQ(l.count, l.sources);
+    }
   }
 }
 
-TEST(PullPayload, HugeEdgeCountRejectedBeforeAllocation) {
-  expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        store<std::uint64_t>(p, l.edge_count_at, std::uint64_t{1} << 61);
-      },
-      "edge_count 2^61");
+TEST(PullPayload, UnknownHandshakeVersionRejected) {
+  expect_rejected(kHandshakeRound,
+                  poke([](std::byte* p, const Layout&, std::uint32_t,
+                          std::uint32_t) {
+                    store<std::uint8_t>(p, Layout::tag_at, pw::kVersion + 1);
+                  }),
+                  "handshake version 2");
 }
 
-TEST(PullPayload, EdgeCountPastTheBytesLeftRejected) {
+TEST(PullPayload, UnknownHandshakeFlagRejected) {
+  expect_rejected(kHandshakeRound,
+                  poke([](std::byte* p, const Layout&, std::uint32_t,
+                          std::uint32_t) {
+                    store<std::uint8_t>(p, Layout::tag_at,
+                                        pw::kVersion | pw::kWeighted | 0x40);
+                  }),
+                  "handshake flag 0x40");
+}
+
+TEST(PullPayload, HugeSourceCountRejectedBeforeAllocation) {
+  expect_rejected(kHandshakeRound,
+                  poke([](std::byte* p, const Layout&, std::uint32_t,
+                          std::uint32_t) {
+                    store<std::uint32_t>(p, Layout::source_count_at,
+                                         0xFFFFFFFFu);
+                  }),
+                  "source count 2^32-1");
+}
+
+TEST(PullPayload, SourceCountPastTheBytesLeftRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        const std::size_t left = l.end - l.edge_at(0);
-        store<std::uint64_t>(p, l.edge_count_at, left / sizeof(PullEdge) + 1);
-      },
-      "edge_count past the payload");
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        const std::size_t left = l.end - Layout::source_at(0);
+        store<std::uint32_t>(
+            p, Layout::source_count_at,
+            static_cast<std::uint32_t>(left / pw::kSourceBytes + 1));
+      }),
+      "source count past the payload");
 }
 
 TEST(PullPayload, SourceOutOfRangeRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t n_from) {
-        auto e = load<PullEdge>(p, l.edge_at(l.edges - 1));
-        e.src_lidx = n_from;
-        store(p, l.edge_at(l.edges - 1), e);
-      },
-      "src_lidx == peer's local count");
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t,
+              std::uint32_t n_from) {
+        store<std::uint32_t>(p, Layout::source_at(l.sources - 1), n_from);
+      }),
+      "src lidx == peer's local count");
 }
 
 TEST(PullPayload, DescendingSourceRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        // The last edge's source is the peer's highest boundary vertex;
-        // 0 (a vertex with no edges) after it descends.
-        auto e = load<PullEdge>(p, l.edge_at(l.edges - 1));
-        e.src_lidx = 0;
-        store(p, l.edge_at(l.edges - 1), e);
-      },
-      "src_lidx descending");
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        // The last source is the peer's highest boundary vertex; the
+        // first one's lidx after it descends.
+        store<std::uint32_t>(p, Layout::source_at(l.sources - 1),
+                             load<std::uint32_t>(p, Layout::source_at(0)));
+      }),
+      "src lidx descending");
+}
+
+TEST(PullPayload, RepeatedSourceRejected) {
+  expect_rejected(
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout&, std::uint32_t, std::uint32_t) {
+        store<std::uint32_t>(p, Layout::source_at(1),
+                             load<std::uint32_t>(p, Layout::source_at(0)));
+      }),
+      "src lidx repeated");
+}
+
+TEST(PullPayload, ZeroDegreeRejected) {
+  expect_rejected(
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout&, std::uint32_t, std::uint32_t) {
+        store<std::uint32_t>(p, Layout::degree_at(0), 0u);
+      }),
+      "degree 0");
+}
+
+TEST(PullPayload, DegreeSumPastTheBytesLeftRejected) {
+  expect_rejected(
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        const auto left = static_cast<std::uint32_t>(l.end - l.target_at(0));
+        store<std::uint32_t>(p, Layout::degree_at(l.sources - 1), left);
+      }),
+      "degree sum past the payload");
 }
 
 TEST(PullPayload, TargetOutOfRangeRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t n_me, std::uint32_t) {
-        auto e = load<PullEdge>(p, l.edge_at(0));
-        e.dst_lidx = n_me;
-        store(p, l.edge_at(0), e);
-      },
-      "dst_lidx == this rank's local count");
+      kHandshakeRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t n_me,
+              std::uint32_t) {
+        store<std::uint32_t>(p, l.target_at(0), n_me);
+      }),
+      "dst lidx == this rank's local count");
+}
+
+TEST(PullPayload, UnknownModeRejected) {
+  for (const int round : {kHandshakeRound, kSparseRound, kDenseRound}) {
+    expect_rejected(
+        round,
+        poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+          store<std::uint8_t>(p, l.mode_at, 7);
+        }),
+        "mode 7 in round " + std::to_string(round));
+  }
+}
+
+TEST(PullPayload, DenseRoundTooShortRejected) {
+  for (const int round : {kHandshakeRound, kDenseRound}) {
+    expect_rejected(
+        round,
+        [](Buffer& in, const Layout&, std::uint32_t, std::uint32_t) {
+          resize_frame(in, -1);
+        },
+        "dense round one byte short in round " + std::to_string(round));
+  }
+}
+
+TEST(PullPayload, DenseRoundTooLongRejected) {
+  for (const int round : {kHandshakeRound, kDenseRound}) {
+    expect_rejected(
+        round,
+        [](Buffer& in, const Layout&, std::uint32_t, std::uint32_t) {
+          resize_frame(in, sizeof(double));
+        },
+        "dense round one value long in round " + std::to_string(round));
+  }
+}
+
+TEST(PullPayload, DenseModeOnASparseRoundRejected) {
+  // A sparse round's bytes read as dense values do not fill the frame
+  // exactly.
+  expect_rejected(
+      kSparseRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        store<std::uint8_t>(p, l.mode_at, pw::kDense);
+      }),
+      "sparse round relabelled dense");
 }
 
 TEST(PullPayload, HugeValueCountRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        store<std::uint32_t>(p, l.value_count_at, 0xFFFFFFFFu);
-      },
-      "boundary count 2^32-1");
+      kSparseRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        store<std::uint32_t>(p, l.count_at(), 0xFFFFFFFFu);
+      }),
+      "sparse count 2^32-1");
 }
 
-TEST(PullPayload, BoundaryVertexOutOfRangeRejected) {
+TEST(PullPayload, BoundaryRowOutOfRangeRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t n_from) {
-        store<std::uint32_t>(p, l.wire_at(l.values - 1), n_from);
-      },
-      "boundary lidx == peer's local count");
+      kSparseRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        store<std::uint32_t>(p, l.wire_at(l.count - 1), l.sources);
+      }),
+      "sparse row == the handshake's source count");
 }
 
-TEST(PullPayload, RepeatedBoundaryVertexRejected) {
+TEST(PullPayload, RepeatedBoundaryRowRejected) {
   expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        store<std::uint32_t>(p, l.wire_at(1), load<std::uint32_t>(p, l.wire_at(0)));
-      },
-      "boundary lidx repeated");
+      kSparseRound,
+      poke([](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
+        store<std::uint32_t>(p, l.wire_at(1),
+                             load<std::uint32_t>(p, l.wire_at(0)));
+      }),
+      "sparse row repeated");
 }
 
-TEST(PullPayload, UnreferencedBoundaryVertexRejected) {
-  expect_rejected(
-      [](std::byte* p, const Layout& l, std::uint32_t, std::uint32_t) {
-        // Local index 0 has no out-edges on either rank (test_graph), so no
-        // handshake edge references it.
-        store<std::uint32_t>(p, l.wire_at(0), 0u);
-      },
-      "boundary lidx without an edge into the rank");
-}
+// ------------------------------------------------ decoder-level cases --
 
-// ------------------------------------------------------ mutation sweep --
-
+/// rank 0's inbox from rank 1 in the three captured rounds (payload bytes
+/// past the frame header) and both ranks' local vertex counts.
 struct Captured {
-  std::vector<std::byte> payload;  ///< rank 0's inbox from rank 1
+  std::vector<std::byte> first;   ///< handshake + dense values
+  std::vector<std::byte> sparse;  ///< sparse values
+  std::vector<std::byte> dense;   ///< steady dense values
   std::uint32_t n0 = 0;
   std::uint32_t n1 = 0;
 };
@@ -326,72 +500,151 @@ Captured capture() {
   cap.n0 = dg.num_local(0);
   cap.n1 = dg.num_local(1);
   run_team(dg, [&](int rank, int round, int /*from*/, Buffer& in) {
-    if (rank != 0 || round != 0) return;
-    const std::byte* p = in.read_ptr() + sizeof(runtime::ChannelFrame);
-    cap.payload.assign(p, in.read_ptr() + in.remaining());
+    if (rank != 0) return;
+    std::vector<std::byte>* into = round == kHandshakeRound ? &cap.first
+                                   : round == kSparseRound  ? &cap.sparse
+                                   : round == kDenseRound   ? &cap.dense
+                                                            : nullptr;
+    if (into == nullptr) return;
+    const std::byte* p = in.read_ptr() + kFrame;
+    into->assign(p, in.read_ptr() + in.remaining());
   });
   return cap;
 }
 
-/// Decode `payload` as rank 0's view of rank 1's first pull round, build
-/// the index and gather every destination (touching every entry).
-void decode(const Captured& cap, const std::vector<std::byte>& payload) {
+Buffer buffer_of(const std::vector<std::byte>& bytes) {
   Buffer in;
-  in.write_bytes(payload.data(), payload.size());
-  core::PullIndex<double> index("pr", 0, {cap.n0, cap.n1});
-  index.read_handshake(in, 1);
-  index.read_values(in, 1);
-  index.build();
-  index.settle_own_freshness();
+  in.write_bytes(bytes.data(), bytes.size());
+  return in;
+}
+
+/// Gather every destination (touching every entry of the index).
+void gather_all(const core::PullIndex<double>& index, std::uint32_t n) {
   double sum = 0.0;
   index.gather(
-      0, cap.n0, [](const double& v, graph::Weight w) { return v * w; },
+      0, n, [](const double& v, graph::Weight w) { return v * w; },
       [](const double& a, const double& b) { return a + b; },
       [&](std::uint32_t, const double& v) { sum += v; });
   (void)sum;
 }
 
-TEST(PullPayload, MutationSweepNeverCrashes) {
-  const Captured cap = capture();
-  ASSERT_GT(cap.payload.size(), sizeof(std::uint64_t) + sizeof(std::uint32_t));
-  ASSERT_NO_THROW(decode(cap, cap.payload));
+/// Decode `first` as rank 0's view of rank 1's first pull round, build the
+/// index and gather; then, if given, decode `next` as the following
+/// round's values and gather again.
+void decode(const Captured& cap, const std::vector<std::byte>& first,
+            const std::vector<std::byte>* next = nullptr) {
+  Buffer in = buffer_of(first);
+  core::PullIndex<double> index("pr", 0, {cap.n0, cap.n1});
+  index.read_handshake(in, 1);
+  index.read_values(in, 1);
+  index.build();
+  index.settle_own_freshness();
+  gather_all(index, cap.n0);
+  if (next == nullptr) return;
+  index.advance_epoch();
+  Buffer values = buffer_of(*next);
+  index.read_values(values, 1);
+  index.settle_own_freshness();
+  gather_all(index, cap.n0);
+}
 
-  std::mt19937 rng(20261019);
-  int rejected = 0;
-  constexpr int kMutations = 2000;
-  for (int i = 0; i < kMutations; ++i) {
-    std::vector<std::byte> m = cap.payload;
-    const std::size_t words = m.size() / sizeof(std::uint32_t);
-    switch (rng() % 4) {
-      case 0: {  // flip one bit anywhere
-        const std::size_t bit = rng() % (m.size() * 8);
-        m[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-        break;
-      }
-      case 1: {  // overwrite one aligned u32 with a random value
-        const std::uint32_t v = rng();
-        std::memcpy(m.data() + (rng() % words) * 4, &v, sizeof(v));
-        break;
-      }
-      case 2: {  // overwrite one aligned u32 with a boundary value
-        const std::uint32_t edge[] = {0u, cap.n0, cap.n1, cap.n1 - 1u,
-                                      0xFFFFFFFFu, 0x80000000u};
-        const std::uint32_t v = edge[rng() % std::size(edge)];
-        std::memcpy(m.data() + (rng() % words) * 4, &v, sizeof(v));
-        break;
-      }
-      default:  // truncate
-        m.resize(rng() % m.size());
-        break;
-    }
+TEST(PullPayload, ValuesWithoutAHandshakeRejected) {
+  const Captured cap = capture();
+  core::PullIndex<double> index("pr", 0, {cap.n0, cap.n1});
+  for (const auto* bytes : {&cap.dense, &cap.sparse}) {
+    Buffer in = buffer_of(*bytes);
     try {
-      decode(cap, m);
+      index.read_values(in, 1);
+      ADD_FAILURE() << "values before a handshake were accepted";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("before a handshake"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PullPayload, SecondHandshakeRejected) {
+  const Captured cap = capture();
+  core::PullIndex<double> index("pr", 0, {cap.n0, cap.n1});
+  Buffer in = buffer_of(cap.first);
+  index.read_handshake(in, 1);
+  in.rewind();
+  EXPECT_THROW(index.read_handshake(in, 1), ProtocolError);
+}
+
+// ------------------------------------------------------ mutation sweep --
+
+/// Apply one seeded mutation to `m`: flip a bit, overwrite a u32 at any
+/// offset with a random or a boundary value, truncate, or append bytes.
+void mutate(std::vector<std::byte>& m, std::mt19937& rng,
+            const Captured& cap) {
+  const auto put_u32 = [&](std::uint32_t v) {
+    if (m.size() < sizeof(v)) return;
+    std::memcpy(m.data() + rng() % (m.size() - sizeof(v) + 1), &v, sizeof(v));
+  };
+  switch (rng() % 5) {
+    case 0: {
+      const std::size_t bit = rng() % (m.size() * 8);
+      m[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      break;
+    }
+    case 1:
+      put_u32(static_cast<std::uint32_t>(rng()));
+      break;
+    case 2: {
+      const std::uint32_t edge[] = {0u,          1u,          cap.n0,
+                                    cap.n1,      cap.n1 - 1u, 0xFFFFFFFFu,
+                                    0x80000000u};
+      put_u32(edge[rng() % std::size(edge)]);
+      break;
+    }
+    case 3:
+      m.resize(rng() % m.size());
+      break;
+    default:
+      m.resize(m.size() + 1 + rng() % 16, std::byte{0x5a});
+      break;
+  }
+}
+
+/// Mutate `target` of `cap` kMutations times; each mutant must be
+/// accepted or rejected with ProtocolError. Returns the rejections.
+int sweep(const Captured& cap, std::vector<std::byte> Captured::*target,
+          std::uint32_t seed) {
+  constexpr int kMutations = 2000;
+  std::mt19937 rng(seed);
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<std::byte> m = cap.*target;
+    mutate(m, rng, cap);
+    try {
+      if (target == &Captured::first) {
+        decode(cap, m);
+      } else {
+        decode(cap, cap.first, &m);
+      }
     } catch (const ProtocolError&) {
       ++rejected;
     }
   }
-  // Most mutations land in a field the decoder checks.
-  EXPECT_GT(rejected, kMutations / 4);
+  return rejected;
+}
+
+TEST(PullPayload, MutationSweepNeverCrashes) {
+  const Captured cap = capture();
+  ASSERT_GT(cap.first.size(), 2 * pw::kSourceBytes);
+  ASSERT_FALSE(cap.sparse.empty());
+  ASSERT_FALSE(cap.dense.empty());
+  ASSERT_NO_THROW(decode(cap, cap.first, &cap.sparse));
+  ASSERT_NO_THROW(decode(cap, cap.first, &cap.dense));
+
+  // Most first-round mutations land in a field the decoder checks; a
+  // values round rejects at least every resize (its values themselves are
+  // free-form).
+  EXPECT_GT(sweep(cap, &Captured::first, 20261019), 2000 / 4);
+  EXPECT_GT(sweep(cap, &Captured::dense, 20261020), 2000 / 3);
+  EXPECT_GT(sweep(cap, &Captured::sparse, 20261021), 2000 / 3);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -253,6 +254,58 @@ TEST(StatsInvariants, RoundsNeverBelowSupersteps) {
   EXPECT_GT(stats.message_bytes, 0u);
   EXPECT_FALSE(stats.summary().empty());
   EXPECT_FALSE(stats.detailed().empty());
+}
+
+// ---------------------------------------------------- superstep bound -----
+
+/// Never halts: every vertex messages its out-neighbours every superstep.
+class RestlessWorker : public Worker<NopVertex> {
+ public:
+  void compute(NopVertex& v) override {
+    for (const auto& e : v.edges()) ping_.send_message(e.dst, 1);
+  }
+
+ private:
+  CombinedMessage<NopVertex, std::uint32_t> ping_{
+      this, make_combiner(c_sum, std::uint32_t{0}), "ping"};
+};
+
+/// Run WorkerT on 2 in-process ranks with the given superstep bound.
+template <typename WorkerT>
+runtime::RunStats run_bounded(int bound) {
+  graph::RmatOptions opts;
+  opts.num_vertices = 1u << 8;
+  opts.num_edges = 1u << 11;
+  const DistributedGraph dg(graph::rmat(opts),
+                            graph::hash_partition(1u << 8, 2));
+  runtime::RunConfig run = runtime::RunConfig::from_env();
+  run.transport = runtime::TransportKind::kInProcess;
+  run.max_supersteps = bound;
+  return launch<WorkerT>(dg, LaunchConfig::from(run), nullptr, nullptr, run);
+}
+
+TEST(SuperstepBound, RunThatNeverHaltsFailsAtTheBound) {
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run_bounded<RestlessWorker>(40);
+    ADD_FAILURE() << "a run that never halts returned";
+  } catch (const SuperstepLimitError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank "), std::string::npos) << what;
+    EXPECT_NE(what.find("after superstep 40 (PGCH_MAX_SUPERSTEPS=40)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("active vertices"), std::string::npos) << what;
+    EXPECT_NE(what.find("'ping'"), std::string::npos) << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+TEST(SuperstepBound, RunThatHaltsWithinTheBoundSucceeds) {
+  // NopWorker halts in superstep 1: a bound of 1 is enough, and 0 means
+  // none.
+  EXPECT_EQ(run_bounded<NopWorker>(1).supersteps, 1);
+  EXPECT_EQ(run_bounded<NopWorker>(0).supersteps, 1);
 }
 
 }  // namespace
